@@ -45,7 +45,7 @@ print(f"structure error: {structure_error(bundle, ida, twin).value:.3f}  (same v
 
 print("\nedge weights (recency x duration):")
 for edge in tan.edges():
-    w = edge_weight(edge, NOW).weight
+    w = edge_weight(edge, NOW)
     who = bundle.vertex(edge.character).display_name
     where = bundle.vertex(edge.entity).display_name
     print(f"  {who:14s} @ {where:13s} {edge.interval.start}-{edge.interval.end}  -> {w}")

@@ -49,7 +49,6 @@ from .screening import (
     structure_error,
 )
 from .similarity import (
-    NeighborWeightVector,
     RedundantGroupSet,
     SimilarityResult,
     TapPath,
@@ -98,7 +97,6 @@ __all__ = [
     "StructureError",
     "screen_candidates",
     "structure_error",
-    "NeighborWeightVector",
     "RedundantGroupSet",
     "SimilarityResult",
     "TapPath",

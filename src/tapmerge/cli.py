@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--name-filter", choices=[f.value for f in NameFilter], default=NameFilter.OFF.value,
             help="restrict screening to same-name or different-name pairs",
         )
-        p.add_argument("--workers", type=int, default=1, help="processes for pair similarity")
+        p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p_ingest = sub.add_parser("ingest", help="load and validate records, write the load report")
     common(p_ingest)

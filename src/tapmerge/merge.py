@@ -11,15 +11,16 @@ callers that need it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .graph import GraphError, NetworkBundle, TemporalEdge, VertexKind, rebuild
-from .screening import structure_error
 
 Disposition = Literal["drop-as-duplicate", "transfer-to-representative"]
+_Fact = tuple[str, str, int, int]  # (entity, relation type, start, end)
 
 
 class MergeError(GraphError):
@@ -46,7 +47,7 @@ class GroupPlan:
 @dataclass
 class MergePlan:
     groups: list[GroupPlan]
-    bundle_fingerprint: tuple[int, int]
+    bundle_fingerprint: str
 
     @property
     def removed_vertex_count(self) -> int:
@@ -94,27 +95,28 @@ class VerificationReport:
         self.violations.append(Violation(kind, detail))
 
 
-def _fingerprint(bundle: NetworkBundle) -> tuple[int, int]:
-    return (bundle.vertex_count, bundle.edge_count)
+def _fingerprint(bundle: NetworkBundle) -> str:
+    """Digest of the bundle's content: its vertex ids and every edge fact."""
+    vertex_ids = sorted(v.id for v in bundle.vertices())
+    edges = sorted((e.relation_id, e.character, *_edge_fact(e)) for e in bundle.edges())
+    return hashlib.sha256(repr((vertex_ids, edges)).encode("utf-8")).hexdigest()
 
 
-def _edge_fact(edge: TemporalEdge) -> tuple[str, str, int, int]:
+def _edge_fact(edge: TemporalEdge) -> _Fact:
     return (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
 
 
-def _character_edges(bundle: NetworkBundle, character: str) -> list[TemporalEdge]:
-    edges = []
-    for tan in bundle.subnetworks():
-        edges.extend(tan.edges_of_character(character))
-    edges.sort(key=lambda e: (_edge_fact(e), e.relation_id))
-    return edges
+def _fact_index(edges: Iterable[TemporalEdge]) -> dict[str, list[tuple[_Fact, str]]]:
+    """Each character's (fact, relation id) list, sorted, built in one pass."""
+    index: dict[str, list[tuple[_Fact, str]]] = {}
+    for edge in edges:
+        index.setdefault(edge.character, []).append((_edge_fact(edge), edge.relation_id))
+    for facts in index.values():
+        facts.sort()
+    return index
 
 
-def plan_merge(
-    bundle: NetworkBundle,
-    groups: Sequence[Sequence[str]],
-    policy: str = "smallest-id",
-) -> MergePlan:
+def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergePlan:
     """Decide, per group, who survives and what happens to each absorbed edge.
 
     Absorbed vertices are processed in id order; a transferred fact
@@ -122,8 +124,6 @@ def plan_merge(
     representative ends up with each distinct fact exactly once on top
     of its own edges.
     """
-    if policy != "smallest-id":
-        raise MergeError(f"unknown representative policy {policy!r}")
     seen: set[str] = set()
     plans: list[GroupPlan] = []
     for group in sorted((sorted(set(g)) for g in groups), key=lambda g: g[0] if g else ""):
@@ -136,17 +136,17 @@ def plan_merge(
             if bundle.vertex(member).kind is not VertexKind.CHARACTER:
                 raise MergeError(f"cannot merge non-character vertex {member!r}")
         representative, absorbed = group[0], tuple(group[1:])
-        known_facts = {_edge_fact(e) for e in _character_edges(bundle, representative)}
+        index = _fact_index(e for tan in bundle.subnetworks() for m in group for e in tan.edges_of_character(m))
+        known_facts = {fact for fact, _ in index.get(representative, ())}
         dispositions: dict[str, tuple[EdgeDisposition, ...]] = {}
         for duplicate in absorbed:
             decided = []
-            for edge in _character_edges(bundle, duplicate):
-                fact = _edge_fact(edge)
+            for fact, relation_id in index.get(duplicate, ()):
                 if fact in known_facts:
-                    decided.append(EdgeDisposition(edge.relation_id, "drop-as-duplicate"))
+                    decided.append(EdgeDisposition(relation_id, "drop-as-duplicate"))
                 else:
                     known_facts.add(fact)
-                    decided.append(EdgeDisposition(edge.relation_id, "transfer-to-representative"))
+                    decided.append(EdgeDisposition(relation_id, "transfer-to-representative"))
             dispositions[duplicate] = tuple(decided)
         plans.append(GroupPlan(representative, absorbed, dispositions))
     return MergePlan(groups=plans, bundle_fingerprint=_fingerprint(bundle))
@@ -196,13 +196,13 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     return MergedNetwork(bundle=merged, mapping=dict(mapping), audit=audit)
 
 
-def _distinct_facts_to_entity(bundle: NetworkBundle, characters: Sequence[str], entity: str) -> set:
-    facts = set()
+def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequence[str]) -> dict[str, set]:
+    """Distinct (relation type, start, end) facts of the characters, per entity."""
+    out: dict[str, set] = {}
     for character in characters:
-        for edge in _character_edges(bundle, character):
-            if edge.entity == entity:
-                facts.add((edge.relation_type, edge.interval.start, edge.interval.end))
-    return facts
+        for (entity, relation_type, start, end), _ in index.get(character, ()):
+            out.setdefault(entity, set()).add((relation_type, start, end))
+    return out
 
 
 def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -> VerificationReport:
@@ -227,30 +227,28 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
 
     # per-character edge multisets: untouched characters keep theirs exactly,
     # representatives gain exactly the transferred facts
+    before_index, after_index = _fact_index(before.edges()), _fact_index(after.edges())
     before_edges = {e.relation_id: e for e in before.edges()}
     expected_facts: dict[str, list] = {}
     for vertex in before.vertices(VertexKind.CHARACTER):
         if vertex.id not in absorbed:
-            expected_facts[vertex.id] = [_edge_fact(e) for e in _character_edges(before, vertex.id)]
+            expected_facts[vertex.id] = [fact for fact, _ in before_index.get(vertex.id, ())]
     for group in plan.groups:
         for duplicate in group.absorbed:
             for disposition in group.dispositions.get(duplicate, ()):
                 if disposition.action == "transfer-to-representative":
                     expected_facts[group.representative].append(_edge_fact(before_edges[disposition.relation_id]))
     for vid, expected in expected_facts.items():
-        post = sorted(_edge_fact(e) for e in _character_edges(after, vid)) if after.has_vertex(vid) else []
+        post = [fact for fact, _ in after_index.get(vid, ())]
         if sorted(expected) != post:
             report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
 
     # the representative carries the group's distinct facts, nothing lost
     for group in plan.groups:
-        members = [group.representative, *group.absorbed]
-        entities = set()
-        for member in members:
-            entities.update(e.entity for e in _character_edges(before, member))
-        for entity in sorted(entities):
-            pre_facts = _distinct_facts_to_entity(before, members, entity)
-            post_facts = _distinct_facts_to_entity(after, [group.representative], entity)
+        pre_by_entity = _facts_by_entity(before_index, [group.representative, *group.absorbed])
+        post_by_entity = _facts_by_entity(after_index, [group.representative])
+        for entity in sorted(pre_by_entity):
+            pre_facts, post_facts = pre_by_entity[entity], post_by_entity.get(entity, set())
             if pre_facts != post_facts:
                 report.add(
                     "entity fact mismatch",
@@ -258,14 +256,11 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
                     f"{sorted(pre_facts)} -> {sorted(post_facts)}",
                 )
 
-    # structure error must stay computable between the survivors
-    representatives = sorted(g.representative for g in plan.groups)
-    for i, left in enumerate(representatives):
-        for right in representatives[i + 1 :]:
-            try:
-                structure_error(after, left, right)
-            except GraphError as exc:
-                report.add("structure error recomputation failed", f"{left} vs {right}: {exc}")
+    # every representative is still a character vertex of the result
+    for group in plan.groups:
+        representative = group.representative
+        if not after.has_vertex(representative) or after.vertex(representative).kind is not VertexKind.CHARACTER:
+            report.add("representative not a character", f"{representative} is not a character vertex of the result")
     return report
 
 

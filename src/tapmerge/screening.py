@@ -18,10 +18,9 @@ degree_y); floats only appear in the reported value.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 from .graph import GraphError, NetworkBundle, VertexKind
 
@@ -125,8 +124,10 @@ def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilte
 
     Characters are bucketed by their neighbor-count signature, which
     coincides with the integer-exact zero test pair by pair; each bucket
-    then contributes all of its internal pairs. Zero-degree characters
-    never match (their error is defined as 1).
+    then contributes all of its internal pairs. Members of a bucket have
+    equal neighbor counts, so every pair in it has the same structure
+    error, computed once per bucket. Zero-degree characters never match
+    (their error is defined as 1).
     """
     if not bundle.sealed:
         raise GraphError("bundle must be sealed before screening")
@@ -139,10 +140,13 @@ def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilte
 
     pairs: list[CandidatePair] = []
     for members in buckets.values():
+        if len(members) < 2:
+            continue
+        error = structure_error(bundle, members[0], members[1])
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 if _passes_name_filter(bundle, x, y, name_filter):
-                    pairs.append(CandidatePair(x, y, structure_error(bundle, x, y)))
+                    pairs.append(CandidatePair(x, y, replace(error, x=x, y=y)))
     pairs.sort(key=lambda p: (p.x, p.y))
     return CandidateSet(pairs=pairs, name_filter=name_filter)
 
@@ -162,10 +166,3 @@ def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: 
                 ]
             )
 
-
-def all_structure_errors(bundle: NetworkBundle, pairs: Iterable[tuple[str, str]] | None = None) -> list[StructureError]:
-    """Structure error for the given pairs, or every unordered pair."""
-    if pairs is None:
-        ids = bundle.character_ids()
-        pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]]
-    return [structure_error(bundle, x, y) for x, y in pairs]

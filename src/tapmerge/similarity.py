@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,12 +36,6 @@ from .unionfind import UnionFind
 
 class FutureEdgeError(GraphError):
     """An edge starts after the chosen `now` anchor."""
-
-
-@dataclass(frozen=True)
-class TemporalWeight:
-    relation_id: str
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -60,18 +53,6 @@ class TapPath:
     @property
     def weight(self) -> int:
         return self.weight_a * self.weight_b
-
-
-@dataclass(frozen=True)
-class NeighborWeightVector:
-    """Per-subnetwork map from entity id to summed temporal edge weight."""
-
-    character: str
-    now: int
-    weights: dict[str, dict[str, int]]
-
-    def for_subnetwork(self, relation_type: str) -> dict[str, int]:
-        return self.weights.get(relation_type, {})
 
 
 @dataclass(frozen=True)
@@ -104,13 +85,12 @@ class RedundantGroupSet:
         return {"theta": self.theta, "now": self.now, "groups": self.groups}
 
 
-def edge_weight(edge: TemporalEdge, now: int) -> TemporalWeight:
+def edge_weight(edge: TemporalEdge, now: int) -> int:
     if edge.interval.start > now:
         raise FutureEdgeError(
             f"edge {edge.relation_id} starts at {edge.interval.start}, after now={now}"
         )
-    weight = (now + 1 - edge.interval.start) * (edge.interval.duration)
-    return TemporalWeight(edge.relation_id, weight)
+    return (now + 1 - edge.interval.start) * edge.interval.duration
 
 
 def path_weight(path: TapPath) -> int:
@@ -127,11 +107,11 @@ def enumerate_paths(tan: TemporalActivityNetwork, x: str, y: str, now: int) -> l
     edges_y = edges_x if x == y else tan.edges_of_character(y)
     paths = []
     for ex in edges_x:
-        wx = edge_weight(ex, now).weight
+        wx = edge_weight(ex, now)
         for ey in edges_y:
             if ey.entity != ex.entity:
                 continue
-            wy = edge_weight(ey, now).weight
+            wy = edge_weight(ey, now)
             paths.append(TapPath(x, ex.entity, y, ex.relation_id, ey.relation_id, wx, wy))
     return paths
 
@@ -140,36 +120,38 @@ def subnetwork_weights(tan: TemporalActivityNetwork, character: str, now: int) -
     """Aggregated per-entity weight of one character in one subnetwork."""
     sums: dict[str, int] = {}
     for edge in tan.edges_of_character(character):
-        sums[edge.entity] = sums.get(edge.entity, 0) + edge_weight(edge, now).weight
+        sums[edge.entity] = sums.get(edge.entity, 0) + edge_weight(edge, now)
     return sums
 
 
-def neighbor_weight_vector(bundle: NetworkBundle, character: str, now: int) -> NeighborWeightVector:
+def neighbor_weight_vector(bundle: NetworkBundle, character: str, now: int) -> dict[str, dict[str, int]]:
+    """Per-subnetwork map from entity id to summed temporal edge weight."""
     if bundle.vertex(character).kind is not VertexKind.CHARACTER:
         raise GraphError(f"{character!r} is not a character vertex")
-    weights = {
+    return {
         beta: subnetwork_weights(bundle.subnetwork(beta), character, now)
         for beta in bundle.relation_types()
     }
-    return NeighborWeightVector(character, now, weights)
 
 
-def _similarity_from_vectors(vec_x: dict[str, int], vec_y: dict[str, int]) -> float:
-    # accumulate in sorted entity order: exact ints, but keep the order pinned anyway
-    w_xy = sum(weight * vec_y.get(entity, 0) for entity, weight in sorted(vec_x.items()))
-    w_xx = sum(weight * weight for _, weight in sorted(vec_x.items()))
-    w_yy = sum(weight * weight for _, weight in sorted(vec_y.items()))
+def _self_weight(vec: dict[str, int]) -> int:
+    """W(paths x..x): the squared norm of an aggregated weight vector."""
+    return sum(weight * weight for weight in vec.values())
+
+
+def _similarity(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: int) -> float:
+    # exact integer sums, so iteration order cannot change the result
     denominator = w_xx + w_yy
     if denominator == 0:
         return 0.0
+    w_xy = sum(weight * vec_y.get(entity, 0) for entity, weight in vec_x.items())
     return (2 * w_xy) / denominator
 
 
 def simtap_beta(tan: TemporalActivityNetwork, x: str, y: str, now: int) -> float:
     """Path similarity of x and y within one subnetwork, in [0, 1]."""
-    return _similarity_from_vectors(
-        subnetwork_weights(tan, x, now), subnetwork_weights(tan, y, now)
-    )
+    vec_x, vec_y = subnetwork_weights(tan, x, now), subnetwork_weights(tan, y, now)
+    return _similarity(vec_x, vec_y, _self_weight(vec_x), _self_weight(vec_y))
 
 
 def combine_subnetwork_scores(scores: Sequence[float]) -> float:
@@ -180,20 +162,7 @@ def combine_subnetwork_scores(scores: Sequence[float]) -> float:
 
 
 def simtap(bundle: NetworkBundle, x: str, y: str, now: int) -> SimilarityResult:
-    for vid in (x, y):
-        if bundle.vertex(vid).kind is not VertexKind.CHARACTER:
-            raise GraphError(f"{vid!r} is not a character vertex")
-    per_beta = {
-        beta: simtap_beta(bundle.subnetwork(beta), x, y, now) for beta in bundle.relation_types()
-    }
-    return SimilarityResult(
-        x=x,
-        y=y,
-        per_relation_type=per_beta,
-        aggregate=combine_subnetwork_scores(list(per_beta.values())),
-        now=now,
-        subnetwork_count=len(per_beta),
-    )
+    return similarity_for_pairs(bundle, [(x, y)], now)[0]
 
 
 def resolve_now(bundle: NetworkBundle, now: int | None) -> int:
@@ -208,20 +177,6 @@ def resolve_now(bundle: NetworkBundle, now: int | None) -> int:
 
 # -- batch computation -------------------------------------------------------
 
-_WorkerPayload = tuple[dict[str, dict[str, dict[str, int]]], list[str], list[tuple[str, str]]]
-
-
-def _similarity_rows(payload: _WorkerPayload) -> list[tuple[str, str, list[float]]]:
-    vectors, relation_types, pairs = payload
-    rows = []
-    for x, y in pairs:
-        per_beta = [
-            _similarity_from_vectors(vectors[x].get(beta, {}), vectors[y].get(beta, {}))
-            for beta in relation_types
-        ]
-        rows.append((x, y, per_beta))
-    return rows
-
 
 def similarity_for_pairs(
     bundle: NetworkBundle,
@@ -231,28 +186,26 @@ def similarity_for_pairs(
 ) -> list[SimilarityResult]:
     """Similarity for each pair, in input order.
 
-    Aggregated weight vectors are computed once and shared; with
-    `workers` > 1 the pair list is chunked across processes. Results are
-    identical regardless of worker count.
+    Each character's weight vectors and self-weights are computed once
+    and shared by all of its pairs. `workers` is accepted for
+    compatibility and ignored: the loop is serial.
     """
     relation_types = bundle.relation_types()
-    characters = sorted({c for pair in pairs for c in pair})
-    vectors = {c: neighbor_weight_vector(bundle, c, now).weights for c in characters}
-
-    if workers <= 1 or len(pairs) < 2 * workers:
-        rows = _similarity_rows((vectors, relation_types, list(pairs)))
-    else:
-        chunk_size = (len(pairs) + workers - 1) // workers
-        chunks = [list(pairs[i : i + chunk_size]) for i in range(0, len(pairs), chunk_size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_similarity_rows, [(vectors, relation_types, chunk) for chunk in chunks])
-        rows = [row for part in parts for row in part]
+    profiles = {}
+    for character in sorted({c for pair in pairs for c in pair}):
+        vectors = neighbor_weight_vector(bundle, character, now)
+        profiles[character] = [(vectors[beta], _self_weight(vectors[beta])) for beta in relation_types]
 
     results = []
-    for x, y, per_beta in rows:
-        scores = dict(zip(relation_types, per_beta))
+    for x, y in pairs:
+        per_beta = [
+            _similarity(vec_x, vec_y, w_xx, w_yy)
+            for (vec_x, w_xx), (vec_y, w_yy) in zip(profiles[x], profiles[y])
+        ]
         results.append(
-            SimilarityResult(x, y, scores, combine_subnetwork_scores(per_beta), now, len(relation_types))
+            SimilarityResult(
+                x, y, dict(zip(relation_types, per_beta)), combine_subnetwork_scores(per_beta), now, len(relation_types)
+            )
         )
     return results
 
@@ -268,17 +221,10 @@ def group_by_threshold(results: Iterable[SimilarityResult], theta: float, now: i
 
 
 def threshold_groups(
-    candidates: CandidateSet,
-    bundle: NetworkBundle,
-    theta: float,
-    now: int,
-    workers: int = 1,
+    candidates: CandidateSet, bundle: NetworkBundle, theta: float, now: int
 ) -> RedundantGroupSet:
     """Confirmed duplicate groups among screened candidate pairs."""
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
-    results = similarity_for_pairs(bundle, candidates.pair_ids(), now, workers=workers)
-    return group_by_threshold(results, theta, now)
+    return group_by_threshold(similarity_for_pairs(bundle, candidates.pair_ids(), now), theta, now)
 
 
 # -- reports -----------------------------------------------------------------

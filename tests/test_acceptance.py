@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per release criterion.
+"""Acceptance suite: one test per release criterion, plus the
+hash-seed determinism check next to criterion 9.
 
 Run with `pytest tests/test_acceptance.py -v`; a summary block at the
 end of the run prints one pass/fail line per criterion.
@@ -7,11 +8,16 @@ end of the run prints one pass/fail line per criterion.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import tapmerge
 from tapmerge import (
     apply_merge,
     combine_subnetwork_scores,
@@ -255,3 +261,31 @@ def test_criterion_9_outputs_identical_across_worker_counts(tmp_path):
     assert outputs[1].keys() == outputs[8].keys()
     for name in outputs[1]:
         assert outputs[1][name] == outputs[8][name], f"{name} differs between worker counts"
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    base = generate(DESK_SPEC)
+    planted, _ = plant_duplicates(base, k=20, mode=PlantMode.EXACT_CLONE, seed=0)
+    records, manifest = _write_inputs(planted, tmp_path)
+    pythonpath = [str(Path(tapmerge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+
+    outputs = {}
+    for seed in ("1", "2"):
+        out = tmp_path / f"hashseed{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        subprocess.run(
+            [
+                sys.executable, "-m", "tapmerge.cli", "dedupe",
+                "--records", records,
+                "--manifest", manifest,
+                "--out", str(out),
+                "--theta", "0.80",
+            ],
+            env=env, check=True, capture_output=True,
+        )
+        outputs[seed] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert len(outputs["1"]) == 8
+    assert outputs["1"].keys() == outputs["2"].keys()
+    for name in outputs["1"]:
+        assert outputs["1"][name] == outputs["2"][name], f"{name} differs between hash seeds"

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from tapmerge import NetworkBundle, VertexKind, apply_merge, plan_merge, rebuild, verify_merge
+from tapmerge import NetworkBundle, Vertex, VertexKind, apply_merge, plan_merge, rebuild, verify_merge
+from tapmerge.graph import TimeInterval
 from tapmerge.merge import MergeError, StalePlanError
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
@@ -132,6 +134,55 @@ def test_stale_plan_detected(scholars_bundle, scholar_ids, club: ClubNet):
     plan = plan_merge(scholars_bundle, [[scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]]])
     with pytest.raises(StalePlanError):
         apply_merge(club.bundle, plan)
+
+
+def test_stale_plan_detected_when_counts_match_but_a_fact_differs():
+    def c2_works_at_e1(interval):
+        bundle = NetworkBundle()
+        for cid in ("c1", "c2"):
+            bundle.add_vertex(VertexKind.CHARACTER, "person", "Wu", vertex_id=cid)
+        bundle.add_vertex(VertexKind.ENTITY, "institution", "Inst", vertex_id="e1")
+        bundle.add_edge("c1", "e1", "work", (2000, 2005), relation_id="r1")
+        bundle.add_edge("c2", "e1", "work", interval, relation_id="r2")
+        return bundle.seal()
+
+    # c2's 2000-2005 stint duplicates c1's, so the plan drops it
+    plan = plan_merge(c2_works_at_e1((2000, 2005)), [["c1", "c2"]])
+    assert apply_merge(c2_works_at_e1((2000, 2005)), plan).audit.dropped_edges == 1
+    # same vertex and edge counts, but dropping the 2003-2008 stint would lose a fact
+    with pytest.raises(StalePlanError):
+        apply_merge(c2_works_at_e1((2003, 2008)), plan)
+
+
+def test_verification_reports_every_kind_of_corruption(scholars_bundle, scholar_ids):
+    faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
+    plan = plan_merge(scholars_bundle, [[faye, fei]])
+    merged = apply_merge(scholars_bundle, plan).bundle
+    representative = plan.groups[0].representative
+    absorbed = plan.groups[0].absorbed[0]
+    vertices, edges = merged.vertices(), list(merged.edges())
+    rep_edges = [e for e in edges if e.character == representative]
+    other_edges = [e for e in edges if e.character != representative]
+    shifted = replace(rep_edges[0], interval=TimeInterval(1990, 1990))
+
+    corruptions = {
+        "vertex count mismatch": (vertices + [Vertex("extra", VertexKind.ENTITY, "club", "Extra")], edges),
+        "absorbed vertex present": (vertices + [scholars_bundle.vertex(absorbed)], edges),
+        "neighbor degree mismatch": (vertices, other_edges + rep_edges[1:]),
+        "entity fact mismatch": (vertices, other_edges + [shifted] + rep_edges[1:]),
+        "representative not a character": (
+            [v if v.id != representative else replace(v, kind=VertexKind.ENTITY) for v in vertices],
+            other_edges,
+        ),
+    }
+    # "dangling endpoint" stays in verify_merge as a safety check, but no
+    # corrupted bundle can show it: add_edge, and so rebuild, rejects an
+    # edge whose endpoint is not a registered vertex
+    assert verify_merge(scholars_bundle, merged, plan).ok
+    for kind, (corrupt_vertices, corrupt_edges) in corruptions.items():
+        corrupted = rebuild(corrupt_vertices, corrupt_edges, merged.relation_types())
+        reported = {v.kind for v in verify_merge(scholars_bundle, corrupted, plan).violations}
+        assert kind in reported, f"{kind} not reported; got {sorted(reported)}"
 
 
 def test_verification_flags_a_hand_corrupted_result(scholars_bundle, scholar_ids):

@@ -47,8 +47,8 @@ def pair_net(intervals_x: list[tuple[int, int]], intervals_y: list[tuple[int, in
 
 
 def test_edge_weight_combines_recency_and_duration():
-    assert edge_weight(edge(2010, 2012), now=2014).weight == 15
-    assert edge_weight(edge(2014, 2014), now=2014).weight == 1
+    assert edge_weight(edge(2010, 2012), now=2014) == 15
+    assert edge_weight(edge(2014, 2014), now=2014) == 1
 
 
 def test_edge_weight_rejects_future_start():
@@ -259,8 +259,8 @@ def test_maximality_iff_equal_weight_vectors(data):
     now = 2009
     for i, x in enumerate(characters):
         for y in characters[i + 1 :]:
-            vx = neighbor_weight_vector(bundle, x, now).for_subnetwork("member")
-            vy = neighbor_weight_vector(bundle, y, now).for_subnetwork("member")
+            vx = neighbor_weight_vector(bundle, x, now)["member"]
+            vy = neighbor_weight_vector(bundle, y, now)["member"]
             value = simtap_beta(tan, x, y, now)
             nonempty = bool(vx) or bool(vy)
             assert (value == 1.0) == (vx == vy and nonempty)
