@@ -14,6 +14,7 @@ person is the job of the screening and similarity layers built on top.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -151,7 +152,9 @@ class NetworkBundle:
         self._vertices: dict[str, Vertex] = {}
         self._subnetworks: dict[str, TemporalActivityNetwork] = {}
         self._declared_relation_types: list[str] = []
+        self._relation_ids: set[str] = set()
         self._sealed = False
+        self._digest: str | None = None
         self._next_character = 1
         self._next_entity = 1
         self._next_relation = 1
@@ -199,23 +202,36 @@ class NetworkBundle:
         interval: TimeInterval | tuple[int, int],
         relation_id: str | None = None,
     ) -> str:
+        # `_register` fills in the interval and a fresh id, so this edge is a draft
+        return self._register(TemporalEdge(relation_id, character, entity, relation_type, interval)).relation_id
+
+    def _register(self, edge: TemporalEdge) -> TemporalEdge:
+        """Check an edge and file it under its relation type; return the stored edge.
+
+        The one way an edge enters a bundle. An edge with a tuple
+        interval or a ``None`` relation id is stored as a completed copy;
+        any other edge is stored as the caller's object itself, so
+        bundles rebuilt from one another share their edges.
+        """
         self._require_mutable()
-        cv = self.vertex(character)
-        ev = self.vertex(entity)
+        cv = self.vertex(edge.character)
+        ev = self.vertex(edge.entity)
         if cv.kind is not VertexKind.CHARACTER:
-            raise VertexKindError(f"{character!r} is not a character vertex")
+            raise VertexKindError(f"{edge.character!r} is not a character vertex")
         if ev.kind is not VertexKind.ENTITY:
-            raise VertexKindError(f"{entity!r} is not an entity vertex")
-        span = _as_interval(interval)
+            raise VertexKindError(f"{edge.entity!r} is not an entity vertex")
+        span = _as_interval(edge.interval)
+        relation_id = edge.relation_id
         if relation_id is None:
             relation_id, self._next_relation = f"r{self._next_relation:06d}", self._next_relation + 1
-        for tan in self._subnetworks.values():
-            if relation_id in tan._edges:
-                raise DuplicateIdError(f"relation id already registered: {relation_id!r}")
-        self.declare_relation_type(relation_type)
-        edge = TemporalEdge(relation_id, character, entity, relation_type, span)
-        self._subnetworks[relation_type]._add(edge)
-        return relation_id
+        if relation_id in self._relation_ids:
+            raise DuplicateIdError(f"relation id already registered: {relation_id!r}")
+        self.declare_relation_type(edge.relation_type)
+        if span is not edge.interval or relation_id is not edge.relation_id:
+            edge = TemporalEdge(relation_id, edge.character, edge.entity, edge.relation_type, span)
+        self._relation_ids.add(relation_id)
+        self._subnetworks[edge.relation_type]._add(edge)
+        return edge
 
     def seal(self) -> "NetworkBundle":
         self._sealed = True
@@ -224,6 +240,19 @@ class NetworkBundle:
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+    def content_digest(self) -> str:
+        """Sha256 of the sorted vertex ids and edge facts, computed once per sealed bundle."""
+        if not self._sealed:
+            raise GraphError("content digest of an unsealed bundle; seal it first")
+        if self._digest is None:
+            vertex_ids = sorted(self._vertices)
+            edges = sorted(
+                (e.relation_id, e.character, e.entity, e.relation_type, e.interval.start, e.interval.end)
+                for e in self.edges()
+            )
+            self._digest = hashlib.sha256(repr((vertex_ids, edges)).encode("utf-8")).hexdigest()
+        return self._digest
 
     # -- lookups ----------------------------------------------------------
 
@@ -277,8 +306,7 @@ class NetworkBundle:
 
     def max_end(self) -> int | None:
         """Latest end time over all edges; the default `now` anchor."""
-        ends = [e.interval.end for e in self.edges()]
-        return max(ends) if ends else None
+        return max((e.interval.end for e in self.edges()), default=None)
 
     def neighbor_counts(self, character: str, relation_type: str) -> Counter[str]:
         tan = self._subnetworks.get(relation_type)
@@ -365,8 +393,10 @@ def rebuild(
 ) -> NetworkBundle:
     """Assemble a sealed bundle from explicit vertices and edges.
 
-    Ids are preserved verbatim; used by the merge engine and the test
-    generators, which derive new bundles from existing ones.
+    Ids are preserved verbatim and the edge objects themselves are
+    stored, so the result shares them with the bundle they came from;
+    used by the merge engine and the test generators, which derive new
+    bundles from existing ones.
     """
     bundle = NetworkBundle(time_unit=time_unit)
     for beta in relation_types:
@@ -374,5 +404,5 @@ def rebuild(
     for v in vertices:
         bundle.add_vertex(v.kind, v.type_label, v.display_name, vertex_id=v.id)
     for e in edges:
-        bundle.add_edge(e.character, e.entity, e.relation_type, e.interval, relation_id=e.relation_id)
+        bundle._register(e)
     return bundle.seal()

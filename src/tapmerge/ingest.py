@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import IO, Iterable, Iterator
 
 from .graph import NetworkBundle, TemporalEdge, VertexKind
 
@@ -132,10 +134,10 @@ def _parse_row(row: dict[str, str], line: int) -> TransactionRecord:
 
 
 def load_records(
-    records: list[TransactionRecord],
+    records: Iterable[TransactionRecord],
     manifest: DatasetManifest | None = None,
 ) -> NetworkBundle:
-    """Build a sealed bundle from already-validated records."""
+    """Build a sealed bundle from already-validated records, consumed one at a time."""
     manifest = manifest or DatasetManifest()
     bundle = NetworkBundle(time_unit=manifest.time_unit)
     for beta in manifest.relation_types:
@@ -155,6 +157,39 @@ def load_records(
     return bundle.seal()
 
 
+def _validated_records(
+    reader: csv.DictReader, manifest: DatasetManifest, strict: bool, report: LoadReport
+) -> Iterator[TransactionRecord]:
+    """Yield each valid row as a record, counting and rejecting rows in `report`."""
+    declared_relations = set(manifest.relation_types)
+    # declared plus discovered; the report lists keep first-seen order
+    known_relations = set(declared_relations)
+    known_entities = set(manifest.entity_types)
+    for row in reader:
+        # the file line the row ends on; DictReader skips blank lines
+        line = reader.line_num
+        report.total_rows += 1
+        try:
+            rec = _parse_row(row, line)
+            if strict and declared_relations and rec.relation_type not in declared_relations:
+                raise IngestError(f"line {line}: undeclared relation type {rec.relation_type!r}")
+        except IngestError as exc:
+            if strict:
+                raise
+            report.rejected.append(
+                RejectedRow(line, str(exc).split(": ", 1)[-1], ",".join((row.get(k) or "") for k in RECORDS_HEADER))
+            )
+            continue
+        report.loaded_rows += 1
+        if rec.relation_type not in known_relations:
+            known_relations.add(rec.relation_type)
+            report.discovered_relation_types.append(rec.relation_type)
+        if rec.entity_type not in known_entities:
+            known_entities.add(rec.entity_type)
+            report.discovered_entity_types.append(rec.entity_type)
+        yield rec
+
+
 def load(
     records_path: str | Path,
     manifest_path: str | Path | None = None,
@@ -162,38 +197,20 @@ def load(
 ) -> tuple[NetworkBundle, LoadReport]:
     """Parse a records CSV (and optional manifest) into a sealed bundle.
 
-    Malformed rows are skipped and reported, or fatal under `strict`.
-    Under `strict` a relation type absent from the manifest is also fatal.
+    Rows stream from the file into the bundle; no list of records is
+    built. Malformed rows are skipped and reported, or fatal under
+    `strict`. Under `strict` a relation type absent from the manifest is
+    also fatal.
     """
     manifest = DatasetManifest.from_json(manifest_path) if manifest_path else DatasetManifest()
     report = LoadReport()
-    records: list[TransactionRecord] = []
     with open(records_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is not None and list(reader.fieldnames) != RECORDS_HEADER:
             raise IngestError(
                 f"unexpected header {reader.fieldnames}; expected {','.join(RECORDS_HEADER)}"
             )
-        for line, row in enumerate(reader, start=2):
-            report.total_rows += 1
-            try:
-                rec = _parse_row(row, line)
-                if strict and manifest.relation_types and rec.relation_type not in manifest.relation_types:
-                    raise IngestError(f"line {line}: undeclared relation type {rec.relation_type!r}")
-            except IngestError as exc:
-                if strict:
-                    raise
-                report.rejected.append(
-                    RejectedRow(line, str(exc).split(": ", 1)[-1], ",".join((row.get(k) or "") for k in RECORDS_HEADER))
-                )
-                continue
-            records.append(rec)
-            report.loaded_rows += 1
-            if rec.relation_type not in manifest.relation_types and rec.relation_type not in report.discovered_relation_types:
-                report.discovered_relation_types.append(rec.relation_type)
-            if rec.entity_type not in manifest.entity_types and rec.entity_type not in report.discovered_entity_types:
-                report.discovered_entity_types.append(rec.entity_type)
-    bundle = load_records(records, manifest)
+        bundle = load_records(_validated_records(reader, manifest, strict, report), manifest)
     return bundle, report
 
 
@@ -225,28 +242,44 @@ def export_records_csv(bundle: NetworkBundle, path: str | Path) -> None:
             )
 
 
-def graph_document(bundle: NetworkBundle) -> dict:
-    return {
-        "vertices": [
-            {"id": v.id, "kind": v.kind.value, "type": v.type_label, "name": v.display_name}
-            for v in sorted(bundle.vertices(), key=lambda v: v.id)
-        ],
-        "edges": [
-            {
-                "id": e.relation_id,
-                "character": e.character,
-                "entity": e.entity,
-                "relation_type": e.relation_type,
-                "start": e.interval.start,
-                "end": e.interval.end,
-            }
-            for e in sorted(bundle.edges(), key=lambda e: e.relation_id)
-        ],
-    }
+def _write_json_records(fh: IO[str], records: Iterable[str]) -> None:
+    """Write a JSON list of pre-encoded objects at the second indent level."""
+    opening = "[\n    "
+    for record in records:
+        fh.write(opening)
+        fh.write(record)
+        opening = ",\n    "
+    fh.write("[]" if opening == "[\n    " else "\n  ]")
 
 
 def export_graph_json(bundle: NetworkBundle, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_document(bundle), indent=2) + "\n", encoding="utf-8")
+    """Write vertices and edges, sorted by id, one record at a time.
+
+    The bytes equal `json.dumps(document, indent=2) + "\n"`, with every
+    string escaped by the same C encoder `json.dumps` uses.
+    """
+    q = encode_basestring_ascii
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "vertices": ')
+        _write_json_records(
+            fh,
+            (
+                f'{{\n      "id": {q(v.id)},\n      "kind": {q(v.kind.value)},\n'
+                f'      "type": {q(v.type_label)},\n      "name": {q(v.display_name)}\n    }}'
+                for v in sorted(bundle.vertices(), key=lambda v: v.id)
+            ),
+        )
+        fh.write(',\n  "edges": ')
+        _write_json_records(
+            fh,
+            (
+                f'{{\n      "id": {q(e.relation_id)},\n      "character": {q(e.character)},\n'
+                f'      "entity": {q(e.entity)},\n      "relation_type": {q(e.relation_type)},\n'
+                f'      "start": {e.interval.start},\n      "end": {e.interval.end}\n    }}'
+                for e in sorted(bundle.edges(), key=lambda e: e.relation_id)
+            ),
+        )
+        fh.write("\n}\n")
 
 
 def _dot_quote(text: str) -> str:

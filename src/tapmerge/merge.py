@@ -11,7 +11,6 @@ callers that need it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,13 +94,6 @@ class VerificationReport:
         self.violations.append(Violation(kind, detail))
 
 
-def _fingerprint(bundle: NetworkBundle) -> str:
-    """Digest of the bundle's content: its vertex ids and every edge fact."""
-    vertex_ids = sorted(v.id for v in bundle.vertices())
-    edges = sorted((e.relation_id, e.character, *_edge_fact(e)) for e in bundle.edges())
-    return hashlib.sha256(repr((vertex_ids, edges)).encode("utf-8")).hexdigest()
-
-
 def _edge_fact(edge: TemporalEdge) -> _Fact:
     return (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
 
@@ -149,12 +141,12 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
                     decided.append(EdgeDisposition(relation_id, "transfer-to-representative"))
             dispositions[duplicate] = tuple(decided)
         plans.append(GroupPlan(representative, absorbed, dispositions))
-    return MergePlan(groups=plans, bundle_fingerprint=_fingerprint(bundle))
+    return MergePlan(groups=plans, bundle_fingerprint=bundle.content_digest())
 
 
 def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     """Produce the corrected bundle with every absorbed vertex removed."""
-    if plan.bundle_fingerprint != _fingerprint(bundle):
+    if plan.bundle_fingerprint != bundle.content_digest():
         raise StalePlanError("plan was computed against a different bundle")
 
     action_by_edge: dict[str, tuple[str, Disposition]] = {}

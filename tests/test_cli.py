@@ -30,7 +30,8 @@ def test_ingest_writes_report_and_graph(tmp_path):
 
 def test_screen_writes_candidates(tmp_path):
     assert run("screen", *base_args(tmp_path)) == 0
-    rows = list(csv.DictReader((tmp_path / "candidates.csv").open()))
+    with open(tmp_path / "candidates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert {(r["x_name"], r["y_name"]) for r in rows} == {
         ("Faye Wu", "Fei Wu"),
         ("ShaoJia Zhu", "ShaoNan Zhu"),
@@ -49,7 +50,8 @@ def test_screen_on_empty_dataset_succeeds(tmp_path):
 
 def test_simtap_single_pair_by_name(tmp_path):
     assert run("simtap", *base_args(tmp_path), "--pair", "Faye Wu,Fei Wu", "--now", "2014") == 0
-    rows = list(csv.DictReader((tmp_path / "similarity.csv").open()))
+    with open(tmp_path / "similarity.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["work"] == "1.0000"
     assert rows[0]["research"] == "1.0000"

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from tapmerge import NetworkBundle, TimeInterval, VertexKind, project_one_mode, rebuild
 from tapmerge.graph import (
     DuplicateIdError,
+    GraphError,
     HeterogeneityError,
     SealedBundleError,
     UnknownVertexError,
@@ -143,3 +146,67 @@ def test_rebuild_preserves_everything(club):
 def test_max_end_tracks_latest_activity(club):
     assert club.bundle.max_end() == 2006
     assert NetworkBundle().max_end() is None
+
+
+def person_and_entity() -> NetworkBundle:
+    bundle = NetworkBundle()
+    bundle.add_vertex(VertexKind.CHARACTER, "person", "A", vertex_id="c1")
+    bundle.add_vertex(VertexKind.ENTITY, "institution", "Uni", vertex_id="e1")
+    return bundle
+
+
+def test_duplicate_relation_id_under_another_relation_type_rejected(club):
+    bundle = person_and_entity()
+    bundle.add_edge("c1", "e1", "study", (2000, 2001), relation_id="r1")
+    with pytest.raises(DuplicateIdError):
+        bundle.add_edge("c1", "e1", "work", (2002, 2003), relation_id="r1")
+    edge = next(club.bundle.edges())
+    clash = replace(edge, relation_type="other")
+    with pytest.raises(DuplicateIdError):
+        rebuild(club.bundle.vertices(), [edge, clash], club.bundle.relation_types())
+
+
+def test_rebuild_rejects_unknown_and_wrong_kind_vertices(club):
+    edge = next(club.bundle.edges())
+    with pytest.raises(UnknownVertexError):
+        rebuild(club.bundle.vertices(), [replace(edge, entity="ghost")], club.bundle.relation_types())
+    with pytest.raises(VertexKindError):
+        rebuild(club.bundle.vertices(), [replace(edge, character=edge.entity)], club.bundle.relation_types())
+
+
+def test_rebuild_stores_the_callers_edge_objects(club):
+    copy = rebuild(club.bundle.vertices(), club.bundle.edges(), club.bundle.relation_types())
+    originals = {e.relation_id: e for e in club.bundle.edges()}
+    assert all(originals[e.relation_id] is e for e in copy.edges())
+
+
+def test_content_digest_needs_a_sealed_bundle():
+    bundle = person_and_entity()
+    with pytest.raises(GraphError, match="unsealed"):
+        bundle.content_digest()
+    assert len(bundle.seal().content_digest()) == 64
+
+
+def test_content_digest_ignores_insertion_order():
+    def build(order):
+        bundle = NetworkBundle()
+        for kind, vid in order:
+            bundle.add_vertex(kind, "person" if kind is VertexKind.CHARACTER else "club", vid, vertex_id=vid)
+        return bundle
+
+    forward = build([(VertexKind.CHARACTER, "c1"), (VertexKind.CHARACTER, "c2"), (VertexKind.ENTITY, "e1")])
+    backward = build([(VertexKind.ENTITY, "e1"), (VertexKind.CHARACTER, "c2"), (VertexKind.CHARACTER, "c1")])
+    forward.add_edge("c1", "e1", "member", (2000, 2001), relation_id="r1")
+    forward.add_edge("c2", "e1", "chair", (2002, 2003), relation_id="r2")
+    backward.add_edge("c2", "e1", "chair", (2002, 2003), relation_id="r2")
+    backward.add_edge("c1", "e1", "member", (2000, 2001), relation_id="r1")
+    assert forward.seal().content_digest() == backward.seal().content_digest()
+
+
+def test_content_digest_changes_with_one_interval(club):
+    edges = list(club.bundle.edges())
+    shifted = [replace(edges[0], interval=TimeInterval(edges[0].interval.start, edges[0].interval.end + 1)), *edges[1:]]
+    copy = rebuild(club.bundle.vertices(), edges, club.bundle.relation_types())
+    changed = rebuild(club.bundle.vertices(), shifted, club.bundle.relation_types())
+    assert copy.content_digest() == club.bundle.content_digest()
+    assert changed.content_digest() != club.bundle.content_digest()

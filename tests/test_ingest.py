@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from tapmerge import NetworkBundle, export, load
+from tapmerge import NetworkBundle, VertexKind, export, load
+from tapmerge.graph import DuplicateIdError
 from tapmerge.ingest import IngestError
 
 from conftest import SCHOLARS_MANIFEST
@@ -73,6 +74,25 @@ def test_inverted_interval_rejected_with_reason(tmp_path):
     assert report.total_rows == report.loaded_rows + len(report.rejected)
 
 
+def test_rejected_row_reports_its_file_line_past_a_blank_line(tmp_path):
+    # the csv reader skips the blank line 3, so a row counter would say line 3
+    path = tmp_path / "records.csv"
+    path.write_text(f"{HEADER}\n,A,Uni,institution,study,2001,2002\n\n,B,Uni,institution,study,2005,2001\n")
+    bundle, report = load(path)
+    assert bundle.edge_count == 1
+    assert [(r.line, r.reason) for r in report.rejected] == [(4, "inverted interval")]
+    with pytest.raises(IngestError, match="line 4: inverted interval"):
+        load(path, strict=True)
+
+
+def test_load_raises_when_the_bundle_build_fails_part_way(tmp_path):
+    # the second row's explicit id collides with the first row's entity id;
+    # the records file must still be closed (CI turns a leak into an error)
+    rows = ["p1,A,Uni,institution,study,2001,2002", "e000001,B,Uni,institution,study,2001,2002"]
+    with pytest.raises(DuplicateIdError):
+        load(write_csv(tmp_path, rows))
+
+
 def test_strict_mode_raises_on_bad_rows(tmp_path):
     path = write_csv(tmp_path, [",A,Uni,institution,study,2005,2001"])
     with pytest.raises(IngestError, match="inverted interval"):
@@ -132,6 +152,49 @@ def test_dot_export_draws_every_vertex_and_edge(tmp_path, club):
     lines = path.read_text().splitlines()
     assert sum("shape=" in line for line in lines) == 4
     assert sum(" -- " in line for line in lines) == 5
+
+
+def graph_json_reference(bundle: NetworkBundle) -> str:
+    """The graph-json bytes as `json.dumps` renders the whole document."""
+    doc = {
+        "vertices": [
+            {"id": v.id, "kind": v.kind.value, "type": v.type_label, "name": v.display_name}
+            for v in sorted(bundle.vertices(), key=lambda v: v.id)
+        ],
+        "edges": [
+            {
+                "id": e.relation_id,
+                "character": e.character,
+                "entity": e.entity,
+                "relation_type": e.relation_type,
+                "start": e.interval.start,
+                "end": e.interval.end,
+            }
+            for e in sorted(bundle.edges(), key=lambda e: e.relation_id)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def awkward_names_bundle() -> NetworkBundle:
+    bundle = NetworkBundle()
+    faye = bundle.add_vertex(VertexKind.CHARACTER, "person", "Fäye \"Wu\"\t吴菲", vertex_id="c\\1")
+    uni = bundle.add_vertex(VertexKind.ENTITY, "inst\u00e9tution", "Jinan\nUniv. \\ 暨南")
+    bundle.add_edge(faye, uni, "stüdy", (1992, 1996))
+    bundle.add_edge(faye, uni, "stüdy", (1997, 1999), relation_id="r\"2")
+    return bundle.seal()
+
+
+@pytest.mark.parametrize("which", ["awkward names", "empty", "scholars"])
+def test_graph_json_bytes_equal_json_dumps(tmp_path, scholars_bundle, which):
+    bundle = {
+        "awkward names": awkward_names_bundle,
+        "empty": lambda: NetworkBundle().seal(),
+        "scholars": lambda: scholars_bundle,
+    }[which]()
+    path = tmp_path / "graph.json"
+    export(bundle, "graph-json", path)
+    assert path.read_bytes() == graph_json_reference(bundle).encode("utf-8")
 
 
 def test_graph_json_of_empty_bundle(tmp_path):
