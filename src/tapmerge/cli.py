@@ -145,7 +145,10 @@ def cmd_screen(config: RunConfig, args: argparse.Namespace) -> int:
     bundle, _ = _load_inputs(config)
     candidates = screen_candidates(bundle, config.name_filter)
     write_candidates_csv(bundle, candidates, out / "candidates.csv")
-    log.info("screened %d characters: %d candidate pairs", len(bundle.character_ids()), len(candidates))
+    log.info(
+        "screened %d characters in %d signature buckets (largest %d): %d candidate pairs",
+        len(bundle.character_ids()), candidates.bucket_count, candidates.largest_bucket, len(candidates),
+    )
     return EXIT_OK
 
 
@@ -194,8 +197,10 @@ def cmd_dedupe(config: RunConfig, args: argparse.Namespace) -> int:
     (out / "load_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     _write_run_manifest(config, out, now, {"theta": config.theta})
     log.info(
-        "dedupe: %d candidates, %d groups, removed %d vertices (dropped %d, transferred %d edges)",
-        len(candidates), len(groups.groups), merged.audit.removed_vertices,
+        "dedupe: %d signature buckets (largest %d), %d candidates, %d groups, "
+        "removed %d vertices (dropped %d, transferred %d edges)",
+        candidates.bucket_count, candidates.largest_bucket, len(candidates), len(groups.groups),
+        merged.audit.removed_vertices,
         merged.audit.dropped_edges, merged.audit.transferred_edges,
     )
     return EXIT_OK

@@ -20,7 +20,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import combinations
 from pathlib import Path
+from typing import Callable, Hashable, Iterable
 
 from .graph import GraphError, NetworkBundle, VertexKind
 
@@ -57,15 +59,6 @@ class StructureError:
         return total > 0 and 2 * self.shared == total
 
 
-def _neighbor_signature(bundle: NetworkBundle, character: str) -> tuple[tuple[str, str, int], ...]:
-    """Canonical (relation_type, entity, count) multiset of a character."""
-    items = []
-    for beta in bundle.relation_types():
-        for entity, count in bundle.neighbor_counts(character, beta).items():
-            items.append((beta, entity, count))
-    return tuple(sorted(items))
-
-
 def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
     if x == y:
         raise GraphError("structure error is defined for distinct characters only")
@@ -100,69 +93,136 @@ class CandidatePair:
 
 @dataclass
 class CandidateSet:
-    """Unordered character pairs with structure error zero, sorted by id."""
+    """Unordered character pairs with structure error zero, sorted by id.
 
-    pairs: list[CandidatePair]
+    The pairs are held as id tuples. All pairs of one signature bucket
+    share one `StructureError`, stored in `bucket_errors` under each
+    member's id (its own `x` and `y` are the bucket's first two
+    members); `pairs` builds the per-pair objects only when asked.
+    """
+
+    ids: list[tuple[str, str]]
+    bucket_errors: dict[str, StructureError]
     name_filter: NameFilter
+    bucket_count: int
+    largest_bucket: int
+
+    @property
+    def pairs(self) -> list[CandidatePair]:
+        """One `CandidatePair` per id pair, built on each access; its error names that pair."""
+        return [CandidatePair(x, y, replace(self.bucket_errors[x], x=x, y=y)) for x, y in self.ids]
 
     def pair_ids(self) -> list[tuple[str, str]]:
-        return [(p.x, p.y) for p in self.pairs]
+        return list(self.ids)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ids)
 
 
-def _passes_name_filter(bundle: NetworkBundle, x: str, y: str, name_filter: NameFilter) -> bool:
+def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
+    """Characters grouped by equal (relation_type, entity) -> edge count maps.
+
+    One pass over the edges builds every character's map. Members are in
+    id order; zero-degree characters have no map and join no bucket.
+    """
+    counts: dict[str, dict[tuple[str, str], int]] = {}
+    for edge in bundle.edges():
+        own = counts.get(edge.character)
+        if own is None:
+            own = counts[edge.character] = {}
+        key = (edge.relation_type, edge.entity)
+        own[key] = own.get(key, 0) + 1
+    buckets: dict[frozenset, list[str]] = {}
+    for character in bundle.character_ids():
+        own = counts.get(character)
+        if own is not None:
+            buckets.setdefault(frozenset(own.items()), []).append(character)
+    return list(buckets.values())
+
+
+def _bucket_pairs(bundle: NetworkBundle, members: list[str], name_filter: NameFilter) -> Iterable[tuple[str, str]]:
+    """The bucket's pairs that pass the name filter, in id order."""
+    pairs = combinations(members, 2)
     if name_filter is NameFilter.OFF:
-        return True
-    same = bundle.vertex(x).display_name == bundle.vertex(y).display_name
-    return same if name_filter is NameFilter.SAME_NAME else not same
+        return pairs
+    same = name_filter is NameFilter.SAME_NAME
+    names = {member: bundle.vertex(member).display_name for member in members}
+    return ((x, y) for x, y in pairs if (names[x] == names[y]) is same)
 
 
 def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilter.OFF) -> CandidateSet:
     """All unordered character pairs with structure error exactly zero.
 
-    Characters are bucketed by their neighbor-count signature, which
-    coincides with the integer-exact zero test pair by pair; each bucket
-    then contributes all of its internal pairs. Members of a bucket have
-    equal neighbor counts, so every pair in it has the same structure
-    error, computed once per bucket. Zero-degree characters never match
-    (their error is defined as 1).
+    Characters are bucketed by their neighbor-count signature, all built
+    in one pass over the edges; equal signatures coincide with the
+    integer-exact zero test pair by pair, so each bucket contributes all
+    of its internal pairs. Members of a bucket have equal neighbor
+    counts, so every pair in it has the same structure error, computed
+    once per bucket. Zero-degree characters never match (their error is
+    defined as 1).
     """
     if not bundle.sealed:
         raise GraphError("bundle must be sealed before screening")
-    buckets: dict[tuple, list[str]] = {}
-    for character in bundle.character_ids():
-        signature = _neighbor_signature(bundle, character)
-        if not signature:
-            continue
-        buckets.setdefault(signature, []).append(character)
-
-    pairs: list[CandidatePair] = []
-    for members in buckets.values():
+    buckets = _signature_buckets(bundle)
+    ids: list[tuple[str, str]] = []
+    bucket_errors: dict[str, StructureError] = {}
+    for members in buckets:
         if len(members) < 2:
             continue
         error = structure_error(bundle, members[0], members[1])
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if _passes_name_filter(bundle, x, y, name_filter):
-                    pairs.append(CandidatePair(x, y, replace(error, x=x, y=y)))
-    pairs.sort(key=lambda p: (p.x, p.y))
-    return CandidateSet(pairs=pairs, name_filter=name_filter)
+        bucket_errors.update(dict.fromkeys(members, error))
+        ids.extend(_bucket_pairs(bundle, members, name_filter))
+    ids.sort()
+    return CandidateSet(ids, bucket_errors, name_filter, len(buckets), max(map(len, buckets), default=0))
+
+
+# -- CSV rendering shared by the candidate and similarity writers ------------
+
+
+class RenderCache(dict):
+    """`cache[key]` is `render(key)`, computed on first use and then kept."""
+
+    def __init__(self, render: Callable[[Hashable], str]):
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, key: Hashable) -> str:
+        text = self[key] = self._render(key)
+        return text
+
+
+class _Echo:
+    """A file whose `write` returns its text, so `writerow` returns the rendered row."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def character_fields(bundle: NetworkBundle) -> RenderCache:
+    """Each character's `id,name` CSV fields, rendered once, without a line end.
+
+    A default-dialect `csv.writer` renders them, and it quotes field by
+    field, so the text equals those two fields of any row it writes. Its
+    `\\r\\n` line terminator is also what makes it quote a name holding
+    `\\r` or `\\n`: rendering with `lineterminator=""` would not.
+    """
+    writerow = csv.writer(_Echo()).writerow
+    return RenderCache(lambda character: writerow((character, bundle.vertex(character).display_name))[:-2])
+
+
+def fixed4() -> RenderCache:
+    """Floats as `f"{value:.4f}"`, formatted once per distinct value.
+
+    Keys compare as floats, so `-0.0` would get the text of `0.0`; no
+    structure error or similarity score is negative.
+    """
+    return RenderCache("{:.4f}".format)
 
 
 def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: str | Path) -> None:
+    fields, fixed = character_fields(bundle), fixed4()
+    errors = candidates.bucket_errors
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
-        for pair in candidates.pairs:
-            writer.writerow(
-                [
-                    pair.x,
-                    bundle.vertex(pair.x).display_name,
-                    pair.y,
-                    bundle.vertex(pair.y).display_name,
-                    f"{pair.error.value:.4f}",
-                ]
-            )
-
+        csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
+        fh.writelines(f"{fields[x]},{fields[y]},{fixed[errors[x].value]}\r\n" for x, y in candidates.ids)

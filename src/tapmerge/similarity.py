@@ -27,10 +27,10 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import GraphError, NetworkBundle, TemporalActivityNetwork, TemporalEdge, VertexKind
-from .screening import CandidateSet
+from .screening import CandidateSet, character_fields, fixed4
 from .unionfind import UnionFind
 
 
@@ -55,8 +55,7 @@ class TapPath:
         return self.weight_a * self.weight_b
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
+class SimilarityResult(NamedTuple):
     x: str
     y: str
     per_relation_type: dict[str, float]
@@ -144,7 +143,9 @@ def _similarity(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: i
     denominator = w_xx + w_yy
     if denominator == 0:
         return 0.0
-    w_xy = sum(weight * vec_y.get(entity, 0) for entity, weight in vec_x.items())
+    w_xy = 0
+    for entity, weight in vec_x.items():
+        w_xy += weight * vec_y.get(entity, 0)
     return (2 * w_xy) / denominator
 
 
@@ -187,8 +188,10 @@ def similarity_for_pairs(
     """Similarity for each pair, in input order.
 
     Each character's weight vectors and self-weights are computed once
-    and shared by all of its pairs. `workers` is accepted for
-    compatibility and ignored: the loop is serial.
+    and shared by all of its pairs. A subnetwork where either self-weight
+    is 0 scores 0.0 without a dot product: edge weights are positive, so
+    that character has no entity there to share. `workers` is accepted
+    for compatibility and ignored: the loop is serial.
     """
     relation_types = bundle.relation_types()
     profiles = {}
@@ -199,7 +202,7 @@ def similarity_for_pairs(
     results = []
     for x, y in pairs:
         per_beta = [
-            _similarity(vec_x, vec_y, w_xx, w_yy)
+            _similarity(vec_x, vec_y, w_xx, w_yy) if w_xx and w_yy else 0.0
             for (vec_x, w_xx), (vec_y, w_yy) in zip(profiles[x], profiles[y])
         ]
         results.append(
@@ -235,20 +238,12 @@ def write_similarity_csv(
 ) -> None:
     """One row per pair, one column per subnetwork in declaration order."""
     relation_types = bundle.relation_types()
+    fields, fixed = character_fields(bundle), fixed4()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_id", "x_name", "y_id", "y_name", *relation_types, "simtap"])
+        csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *relation_types, "simtap"])
         for result in results:
-            writer.writerow(
-                [
-                    result.x,
-                    bundle.vertex(result.x).display_name,
-                    result.y,
-                    bundle.vertex(result.y).display_name,
-                    *(f"{result.per_relation_type[b]:.4f}" for b in relation_types),
-                    f"{result.aggregate:.4f}",
-                ]
-            )
+            scores = [fixed[result.per_relation_type[beta]] for beta in relation_types]
+            fh.write(",".join([fields[result.x], fields[result.y], *scores, fixed[result.aggregate]]) + "\r\n")
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 
 from tapmerge import load
 from tapmerge.cli import main
@@ -36,6 +37,15 @@ def test_screen_writes_candidates(tmp_path):
         ("Faye Wu", "Fei Wu"),
         ("ShaoJia Zhu", "ShaoNan Zhu"),
     }
+
+
+def test_screen_and_dedupe_log_their_signature_buckets(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="tapmerge")
+    assert run("screen", *base_args(tmp_path)) == 0
+    assert "in 6 signature buckets (largest 2): 2 candidate pairs" in caplog.text
+    caplog.clear()
+    assert run("dedupe", *base_args(tmp_path), "--theta", "0.80", "--now", "2014") == 0
+    assert "dedupe: 6 signature buckets (largest 2), 2 candidates" in caplog.text
 
 
 def test_screen_on_empty_dataset_succeeds(tmp_path):

@@ -168,6 +168,69 @@ def test_candidates_csv_layout(tmp_path, scholars_bundle):
     assert lines[1].endswith("0.0000")
 
 
+
+def interleaved_buckets() -> NetworkBundle:
+    """Three signature buckets whose member ids interleave, plus near misses.
+
+    Bucket members alternate in id order with each other, with
+    zero-degree characters and with one character whose only difference
+    is a parallel edge. Names repeat inside buckets, so both name
+    filters keep some pairs and drop others.
+    """
+    bundle = NetworkBundle()
+    for beta in ("study", "work", "coauthor"):
+        bundle.declare_relation_type(beta)
+    uni = bundle.add_vertex(VertexKind.ENTITY, "institution", "uni")
+    lab = bundle.add_vertex(VertexKind.ENTITY, "institution", "lab")
+    paper = bundle.add_vertex(VertexKind.ENTITY, "publication", "paper")
+    shapes = [
+        [("study", uni), ("work", lab)],
+        [("coauthor", paper)],
+        [("work", lab), ("work", lab), ("coauthor", paper)],
+    ]
+    for i in range(13):
+        person = bundle.add_vertex(VertexKind.CHARACTER, "person", f"name {i % 4}")
+        if i % 5 == 4:
+            continue  # zero degree
+        for beta, entity in shapes[i % 3]:
+            bundle.add_edge(person, entity, beta, (2000 + i, 2001 + i))
+    near = bundle.add_vertex(VertexKind.CHARACTER, "person", "name 1")
+    for beta, entity in [("coauthor", paper), ("coauthor", paper)]:
+        bundle.add_edge(near, entity, beta, (2003, 2004))
+    return bundle.seal()
+
+
+def assert_screen_matches_brute_force(bundle: NetworkBundle, name_filter: NameFilter) -> None:
+    def kept(x: str, y: str) -> bool:
+        same = bundle.vertex(x).display_name == bundle.vertex(y).display_name
+        return {NameFilter.OFF: True, NameFilter.SAME_NAME: same, NameFilter.DIFFERENT_NAME: not same}[name_filter]
+
+    ids = bundle.character_ids()
+    expected = sorted(
+        (x, y) for i, x in enumerate(ids) for y in ids[i + 1 :] if structure_error(bundle, x, y).is_zero and kept(x, y)
+    )
+    candidates = screen_candidates(bundle, name_filter)
+    assert candidates.pair_ids() == expected
+    assert len(candidates) == len(expected)
+    assert [(pair.x, pair.y) for pair in candidates.pairs] == expected
+    for pair in candidates.pairs:
+        assert pair.error == structure_error(bundle, pair.x, pair.y)
+
+
+@pytest.mark.parametrize("name_filter", list(NameFilter))
+def test_bucketed_screening_equals_brute_force(name_filter):
+    bundle = interleaved_buckets()
+    assert_screen_matches_brute_force(bundle, name_filter)
+    assert len(screen_candidates(bundle, name_filter)) > 0
+
+
+def test_bucket_counts_cover_every_character_with_an_edge():
+    candidates = screen_candidates(interleaved_buckets())
+    # three shapes plus the parallel-edge near miss; the two zero-degree characters join none
+    assert candidates.bucket_count == 4
+    assert candidates.largest_bucket == 4
+
+
 # -- randomized properties ---------------------------------------------------
 
 
@@ -204,6 +267,12 @@ def test_zero_iff_equal_neighbor_multisets(bundle):
             nonempty = err.degree_x + err.degree_y > 0
             assert (err.value == 0.0) == (equal and nonempty)
             assert err.is_zero == (equal and nonempty)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_bundles(), st.sampled_from(NameFilter))
+def test_screening_equals_brute_force_on_random_bundles(bundle, name_filter):
+    assert_screen_matches_brute_force(bundle, name_filter)
 
 
 @settings(max_examples=200, deadline=None)

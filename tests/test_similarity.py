@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,7 @@ from tapmerge import (
     threshold_groups,
 )
 from tapmerge.graph import GraphError, TemporalEdge, TimeInterval
+from tapmerge.screening import structure_error, write_candidates_csv
 from tapmerge.similarity import FutureEdgeError, TapPath, group_by_threshold, write_similarity_csv
 from tapmerge.testkit import oracle_simtap_beta
 
@@ -216,6 +221,121 @@ def test_similarity_csv_mirrors_declaration_order(tmp_path, scholars_bundle):
 def test_future_edge_fails_loudly(club):
     with pytest.raises(FutureEdgeError):
         simtap_beta(club.tan, club.mona, club.nora, now=1999)
+
+
+AWKWARD_NAMES = [
+    "plain",
+    "comma, inside",
+    'say "hi"',
+    "line\nbreak",
+    "carriage\rreturn",
+    "crlf\r\nend",
+    "tab\there",
+    " leading space",
+    "",
+    "Zoë Ñúñez 張偉",
+]
+
+
+def awkward_names_bundle() -> NetworkBundle:
+    """One signature bucket of awkwardly named people; their intervals differ."""
+    bundle = NetworkBundle()
+    for beta in ("member", "coauthor"):
+        bundle.declare_relation_type(beta)
+    club_ = bundle.add_vertex(VertexKind.ENTITY, "club", "club")
+    for i, name in enumerate(AWKWARD_NAMES):
+        person = bundle.add_vertex(VertexKind.CHARACTER, "person", name)
+        bundle.add_edge(person, club_, "member", (2000 + i % 4, 2003 + i % 3))
+    return bundle.seal()
+
+
+def csv_reference(rows: list[list[str]]) -> bytes:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def test_writers_match_a_csv_writer_reference(tmp_path):
+    bundle = awkward_names_bundle()
+    name = {c: bundle.vertex(c).display_name for c in bundle.character_ids()}
+    pairs = screen_candidates(bundle).pair_ids()
+    assert len(pairs) == len(AWKWARD_NAMES) * (len(AWKWARD_NAMES) - 1) // 2
+    results = similarity_for_pairs(bundle, pairs, now=2010)
+
+    write_candidates_csv(bundle, screen_candidates(bundle), tmp_path / "candidates.csv")
+    expected = [["x_id", "x_name", "y_id", "y_name", "structure_error"]]
+    expected += [[x, name[x], y, name[y], f"{structure_error(bundle, x, y).value:.4f}"] for x, y in pairs]
+    assert (tmp_path / "candidates.csv").read_bytes() == csv_reference(expected)
+
+    write_similarity_csv(bundle, results, tmp_path / "similarity.csv")
+    expected = [["x_id", "x_name", "y_id", "y_name", "member", "coauthor", "simtap"]]
+    expected += [
+        [r.x, name[r.x], r.y, name[r.y], f"{r.per_relation_type['member']:.4f}",
+         f"{r.per_relation_type['coauthor']:.4f}", f"{r.aggregate:.4f}"]
+        for r in results
+    ]
+    assert (tmp_path / "similarity.csv").read_bytes() == csv_reference(expected)
+
+
+def test_similarity_csv_without_subnetworks_keeps_the_aggregate_column(tmp_path):
+    bundle = NetworkBundle()
+    a = bundle.add_vertex(VertexKind.CHARACTER, "person", "a")
+    b = bundle.add_vertex(VertexKind.CHARACTER, "person", "b")
+    bundle.add_vertex(VertexKind.ENTITY, "club", "club")
+    bundle.seal()
+    write_similarity_csv(bundle, similarity_for_pairs(bundle, [(a, b)], now=2010), tmp_path / "similarity.csv")
+    expected = [["x_id", "x_name", "y_id", "y_name", "simtap"], [a, "a", b, "b", "0.0000"]]
+    assert (tmp_path / "similarity.csv").read_bytes() == csv_reference(expected)
+
+
+def partly_absent_bundle() -> NetworkBundle:
+    """People active in different subsets of four subnetworks, one in none."""
+    bundle = NetworkBundle()
+    for beta in ("study", "work", "research", "coauthor"):
+        bundle.declare_relation_type(beta)
+    uni = bundle.add_vertex(VertexKind.ENTITY, "institution", "uni")
+    lab = bundle.add_vertex(VertexKind.ENTITY, "institution", "lab")
+    paper = bundle.add_vertex(VertexKind.ENTITY, "publication", "paper")
+    histories = [
+        [("study", uni, (2000, 2004)), ("work", lab, (2005, 2010))],
+        [("work", lab, (2006, 2010)), ("work", lab, (2001, 2002))],
+        [("coauthor", paper, (2008, 2008))],
+        [("study", uni, (2001, 2004)), ("coauthor", paper, (2008, 2008)), ("research", lab, (2009, 2010))],
+        [],
+    ]
+    for i, history in enumerate(histories):
+        person = bundle.add_vertex(VertexKind.CHARACTER, "person", f"p{i}")
+        for beta, entity, span in history:
+            bundle.add_edge(person, entity, beta, span)
+    return bundle.seal()
+
+
+def hot_entity_bundle(people: int = 30) -> NetworkBundle:
+    """Every person's only edge goes to one paper: one bucket, all pairs candidates."""
+    bundle = NetworkBundle()
+    for beta in ("study", "work", "research", "coauthor"):
+        bundle.declare_relation_type(beta)
+    paper = bundle.add_vertex(VertexKind.ENTITY, "publication", "paper")
+    for i in range(people):
+        person = bundle.add_vertex(VertexKind.CHARACTER, "person", f"p{i}")
+        bundle.add_edge(person, paper, "coauthor", (2000 + i % 7, 2000 + i % 7 + i % 5))
+    return bundle.seal()
+
+
+@pytest.mark.parametrize("make_bundle", [partly_absent_bundle, hot_entity_bundle])
+def test_batch_scores_match_the_oracle_in_every_subnetwork(make_bundle):
+    bundle = make_bundle()
+    now = 2010
+    ids = bundle.character_ids()
+    pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]]
+    if make_bundle is hot_entity_bundle:
+        assert screen_candidates(bundle).pair_ids() == pairs
+    for result in similarity_for_pairs(bundle, pairs, now):
+        expected = [oracle_simtap_beta(bundle.subnetwork(b), result.x, result.y, now) for b in bundle.relation_types()]
+        assert list(result.per_relation_type.values()) == expected
+        # an absent subnetwork scores +0.0, the float the division gives
+        assert all(math.copysign(1.0, v) == 1.0 for v in result.per_relation_type.values())
+        assert result.aggregate == combine_subnetwork_scores(expected)
 
 
 # -- randomized properties ---------------------------------------------------
