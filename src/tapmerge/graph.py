@@ -52,7 +52,7 @@ class VertexKind(Enum):
     ENTITY = "entity"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TimeInterval:
     """Closed integer interval, by default in years."""
 
@@ -73,7 +73,7 @@ class TimeInterval:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: str
     kind: VertexKind
@@ -81,7 +81,7 @@ class Vertex:
     display_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemporalEdge:
     """One activity fact: character took part in entity during interval."""
 
@@ -97,6 +97,20 @@ def _as_interval(interval: TimeInterval | tuple[int, int]) -> TimeInterval:
         return interval
     start, end = interval
     return TimeInterval(start, end)
+
+
+# list items rendered per `hashlib` update by `_update_with_repr`
+_DIGEST_SLICE = 4096
+
+
+def _update_with_repr(digest: hashlib._Hash, items: list) -> None:
+    """Feed the UTF-8 bytes of `repr(items)` to `digest` without building that string."""
+    digest.update(b"[")
+    for i in range(0, len(items), _DIGEST_SLICE):
+        if i:
+            digest.update(b", ")
+        digest.update(repr(items[i : i + _DIGEST_SLICE])[1:-1].encode("utf-8"))
+    digest.update(b"]")
 
 
 class TemporalActivityNetwork:
@@ -202,36 +216,41 @@ class NetworkBundle:
         interval: TimeInterval | tuple[int, int],
         relation_id: str | None = None,
     ) -> str:
-        # `_register` fills in the interval and a fresh id, so this edge is a draft
-        return self._register(TemporalEdge(relation_id, character, entity, relation_type, interval)).relation_id
+        span, relation_id = self._register(character, entity, relation_type, interval, relation_id)
+        self._subnetworks[relation_type]._add(TemporalEdge(relation_id, character, entity, relation_type, span))
+        return relation_id
 
-    def _register(self, edge: TemporalEdge) -> TemporalEdge:
-        """Check an edge and file it under its relation type; return the stored edge.
+    def _register(
+        self,
+        character: str,
+        entity: str,
+        relation_type: str,
+        interval: TimeInterval | tuple[int, int],
+        relation_id: str | None,
+    ) -> tuple[TimeInterval, str]:
+        """Check an edge's fields and reserve its id; return its interval and id.
 
-        The one way an edge enters a bundle. An edge with a tuple
-        interval or a ``None`` relation id is stored as a completed copy;
-        any other edge is stored as the caller's object itself, so
-        bundles rebuilt from one another share their edges.
+        The one checking path of :meth:`add_edge` and :func:`rebuild`. A
+        tuple interval becomes a `TimeInterval`, a ``None`` relation id
+        gets a fresh one, and an unseen relation type is declared. The
+        caller then files the edge under its relation type.
         """
         self._require_mutable()
-        cv = self.vertex(edge.character)
-        ev = self.vertex(edge.entity)
+        cv = self.vertex(character)
+        ev = self.vertex(entity)
         if cv.kind is not VertexKind.CHARACTER:
-            raise VertexKindError(f"{edge.character!r} is not a character vertex")
+            raise VertexKindError(f"{character!r} is not a character vertex")
         if ev.kind is not VertexKind.ENTITY:
-            raise VertexKindError(f"{edge.entity!r} is not an entity vertex")
-        span = _as_interval(edge.interval)
-        relation_id = edge.relation_id
+            raise VertexKindError(f"{entity!r} is not an entity vertex")
+        span = _as_interval(interval)
         if relation_id is None:
             relation_id, self._next_relation = f"r{self._next_relation:06d}", self._next_relation + 1
         if relation_id in self._relation_ids:
             raise DuplicateIdError(f"relation id already registered: {relation_id!r}")
-        self.declare_relation_type(edge.relation_type)
-        if span is not edge.interval or relation_id is not edge.relation_id:
-            edge = TemporalEdge(relation_id, edge.character, edge.entity, edge.relation_type, span)
+        if relation_type not in self._subnetworks:
+            self.declare_relation_type(relation_type)
         self._relation_ids.add(relation_id)
-        self._subnetworks[edge.relation_type]._add(edge)
-        return edge
+        return span, relation_id
 
     def seal(self) -> "NetworkBundle":
         self._sealed = True
@@ -246,12 +265,17 @@ class NetworkBundle:
         if not self._sealed:
             raise GraphError("content digest of an unsealed bundle; seal it first")
         if self._digest is None:
-            vertex_ids = sorted(self._vertices)
             edges = sorted(
                 (e.relation_id, e.character, e.entity, e.relation_type, e.interval.start, e.interval.end)
                 for e in self.edges()
             )
-            self._digest = hashlib.sha256(repr((vertex_ids, edges)).encode("utf-8")).hexdigest()
+            # the sha256 of `repr((vertex_ids, edges))`, fed in slices
+            digest = hashlib.sha256(b"(")
+            _update_with_repr(digest, sorted(self._vertices))
+            digest.update(b", ")
+            _update_with_repr(digest, edges)
+            digest.update(b")")
+            self._digest = digest.hexdigest()
         return self._digest
 
     # -- lookups ----------------------------------------------------------
@@ -396,7 +420,8 @@ def rebuild(
     Ids are preserved verbatim and the edge objects themselves are
     stored, so the result shares them with the bundle they came from;
     used by the merge engine and the test generators, which derive new
-    bundles from existing ones.
+    bundles from existing ones. An edge with a tuple interval or a
+    ``None`` relation id is stored as a completed copy.
     """
     bundle = NetworkBundle(time_unit=time_unit)
     for beta in relation_types:
@@ -404,5 +429,8 @@ def rebuild(
     for v in vertices:
         bundle.add_vertex(v.kind, v.type_label, v.display_name, vertex_id=v.id)
     for e in edges:
-        bundle._register(e)
+        span, relation_id = bundle._register(e.character, e.entity, e.relation_type, e.interval, e.relation_id)
+        if span is not e.interval or relation_id is not e.relation_id:
+            e = TemporalEdge(relation_id, e.character, e.entity, e.relation_type, span)
+        bundle._subnetworks[e.relation_type]._add(e)
     return bundle.seal()

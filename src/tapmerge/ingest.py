@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
-from .graph import NetworkBundle, TemporalEdge, VertexKind
+from .graph import NetworkBundle, TimeInterval, VertexKind
+from .screening import character_fields, csv_fields
 
 RECORDS_HEADER = ["character_id", "character_name", "entity_name", "entity_type", "relation_type", "start", "end"]
 
@@ -32,8 +33,7 @@ class IngestError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TransactionRecord:
+class TransactionRecord(NamedTuple):
     """One activity fact as it appears in the input file."""
 
     character_name: str
@@ -108,29 +108,23 @@ class LoadReport:
         }
 
 
-def _parse_row(row: dict[str, str], line: int) -> TransactionRecord:
-    for name in ("character_name", "entity_name", "entity_type", "relation_type"):
-        if not (row.get(name) or "").strip():
-            raise IngestError(f"line {line}: empty {name}")
+def _parse_row(row: list[str], line: int) -> TransactionRecord:
+    if len(row) < len(RECORDS_HEADER):
+        raise IngestError(f"line {line}: expected {len(RECORDS_HEADER)} fields, got {len(row)}")
+    names = (row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip())
+    if not all(names):
+        empty = next(label for label, name in zip(RECORDS_HEADER[1:5], names) if not name)
+        raise IngestError(f"line {line}: empty {empty}")
     try:
-        start = int(row["start"])
-        end = int(row["end"])
-    except (KeyError, ValueError):
+        start = int(row[5])
+        end = int(row[6])
+    except ValueError:
         raise IngestError(f"line {line}: start/end are not integers") from None
     if start < 0 or end < 0:
         raise IngestError(f"line {line}: negative time point")
     if end < start:
         raise IngestError(f"line {line}: inverted interval")
-    character_id = (row.get("character_id") or "").strip() or None
-    return TransactionRecord(
-        character_name=row["character_name"].strip(),
-        entity_name=row["entity_name"].strip(),
-        entity_type=row["entity_type"].strip(),
-        relation_type=row["relation_type"].strip(),
-        start=start,
-        end=end,
-        character_id=character_id,
-    )
+    return TransactionRecord(*names, start, end, row[0].strip() or None)
 
 
 def load_records(
@@ -144,6 +138,8 @@ def load_records(
         bundle.declare_relation_type(beta)
     characters: dict[str, str] = {}
     entities: dict[tuple[str, str], str] = {}
+    # one frozen interval object per distinct (start, end), shared by its edges
+    intervals: dict[tuple[int, int], TimeInterval] = {}
     for rec in records:
         ckey = rec.character_key
         if ckey not in characters:
@@ -153,12 +149,16 @@ def load_records(
         ekey = (rec.entity_name, rec.entity_type)
         if ekey not in entities:
             entities[ekey] = bundle.add_vertex(VertexKind.ENTITY, rec.entity_type, rec.entity_name)
-        bundle.add_edge(characters[ckey], entities[ekey], rec.relation_type, (rec.start, rec.end))
+        span = (rec.start, rec.end)
+        interval = intervals.get(span)
+        if interval is None:
+            interval = intervals[span] = TimeInterval(rec.start, rec.end)
+        bundle.add_edge(characters[ckey], entities[ekey], rec.relation_type, interval)
     return bundle.seal()
 
 
 def _validated_records(
-    reader: csv.DictReader, manifest: DatasetManifest, strict: bool, report: LoadReport
+    reader: Iterator[list[str]], manifest: DatasetManifest, strict: bool, report: LoadReport
 ) -> Iterator[TransactionRecord]:
     """Yield each valid row as a record, counting and rejecting rows in `report`."""
     declared_relations = set(manifest.relation_types)
@@ -166,7 +166,9 @@ def _validated_records(
     known_relations = set(declared_relations)
     known_entities = set(manifest.entity_types)
     for row in reader:
-        # the file line the row ends on; DictReader skips blank lines
+        if not row:
+            continue  # a blank line is no row
+        # the file line the row ends on, so skipped blank lines are counted
         line = reader.line_num
         report.total_rows += 1
         try:
@@ -176,9 +178,9 @@ def _validated_records(
         except IngestError as exc:
             if strict:
                 raise
-            report.rejected.append(
-                RejectedRow(line, str(exc).split(": ", 1)[-1], ",".join((row.get(k) or "") for k in RECORDS_HEADER))
-            )
+            # the header's fields: a short row is padded, extra fields are dropped
+            raw = ",".join((row + [""] * len(RECORDS_HEADER))[: len(RECORDS_HEADER)])
+            report.rejected.append(RejectedRow(line, str(exc).split(": ", 1)[-1], raw))
             continue
         report.loaded_rows += 1
         if rec.relation_type not in known_relations:
@@ -205,11 +207,11 @@ def load(
     manifest = DatasetManifest.from_json(manifest_path) if manifest_path else DatasetManifest()
     report = LoadReport()
     with open(records_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None and list(reader.fieldnames) != RECORDS_HEADER:
-            raise IngestError(
-                f"unexpected header {reader.fieldnames}; expected {','.join(RECORDS_HEADER)}"
-            )
+        reader = csv.reader(fh)
+        # the first line is the header even when it is blank; an empty file has none
+        header = next(reader, None)
+        if header is not None and header != RECORDS_HEADER:
+            raise IngestError(f"unexpected header {header}; expected {','.join(RECORDS_HEADER)}")
         bundle = load_records(_validated_records(reader, manifest, strict, report), manifest)
     return bundle, report
 
@@ -217,29 +219,29 @@ def load(
 # -- exports ---------------------------------------------------------------
 
 
-def _sorted_edges(bundle: NetworkBundle) -> list[TemporalEdge]:
-    return sorted(bundle.edges(), key=lambda e: (e.character, e.relation_type, e.entity, e.interval, e.relation_id))
-
-
 def export_records_csv(bundle: NetworkBundle, path: str | Path) -> None:
-    """Write a record list that reloads to an isomorphic bundle."""
+    """Write a record list that reloads to an isomorphic bundle.
+
+    Rows are sorted by character, relation type, entity, interval and
+    relation id. Each vertex's and relation type's CSV fields are
+    rendered once by a default-dialect `csv.writer`, so every row equals
+    the one that writer would write.
+    """
+    characters = character_fields(bundle)
+    entities = csv_fields(lambda entity: (bundle.vertex(entity).display_name, bundle.vertex(entity).type_label))
+    # a relation type is never empty, so its one field renders as in any row
+    relation_types = csv_fields(lambda relation_type: (relation_type,))
+    edges = sorted(
+        bundle.edges(),
+        key=lambda e: (e.character, e.relation_type, e.entity, e.interval.start, e.interval.end, e.relation_id),
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDS_HEADER)
-        for edge in _sorted_edges(bundle):
-            character = bundle.vertex(edge.character)
-            entity = bundle.vertex(edge.entity)
-            writer.writerow(
-                [
-                    character.id,
-                    character.display_name,
-                    entity.display_name,
-                    entity.type_label,
-                    edge.relation_type,
-                    edge.interval.start,
-                    edge.interval.end,
-                ]
-            )
+        csv.writer(fh).writerow(RECORDS_HEADER)
+        fh.writelines(
+            f"{characters[e.character]},{entities[e.entity]},{relation_types[e.relation_type]},"
+            f"{e.interval.start},{e.interval.end}\r\n"
+            for e in edges
+        )
 
 
 def _write_json_records(fh: IO[str], records: Iterable[str]) -> None:

@@ -220,16 +220,23 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
     # per-character edge multisets: untouched characters keep theirs exactly,
     # representatives gain exactly the transferred facts
     before_index, after_index = _fact_index(before.edges()), _fact_index(after.edges())
-    before_edges = {e.relation_id: e for e in before.edges()}
     expected_facts: dict[str, list] = {}
     for vertex in before.vertices(VertexKind.CHARACTER):
         if vertex.id not in absorbed:
             expected_facts[vertex.id] = [fact for fact, _ in before_index.get(vertex.id, ())]
     for group in plan.groups:
         for duplicate in group.absorbed:
+            facts = {relation_id: fact for fact, relation_id in before_index.get(duplicate, ())}
             for disposition in group.dispositions.get(duplicate, ()):
-                if disposition.action == "transfer-to-representative":
-                    expected_facts[group.representative].append(_edge_fact(before_edges[disposition.relation_id]))
+                if disposition.action != "transfer-to-representative":
+                    continue
+                if disposition.relation_id in facts:
+                    expected_facts[group.representative].append(facts[disposition.relation_id])
+                else:
+                    report.add(
+                        "neighbor degree mismatch",
+                        f"plan transfers {disposition.relation_id}, which is not an edge of {duplicate}",
+                    )
     for vid, expected in expected_facts.items():
         post = [fact for fact, _ in after_index.get(vid, ())]
         if sorted(expected) != post:

@@ -199,16 +199,22 @@ class _Echo:
         return text
 
 
-def character_fields(bundle: NetworkBundle) -> RenderCache:
-    """Each character's `id,name` CSV fields, rendered once, without a line end.
+def csv_fields(fields_of: Callable[[Hashable], tuple]) -> RenderCache:
+    """`cache[key]` is the CSV text of the fields `fields_of(key)`, without a line end.
 
     A default-dialect `csv.writer` renders them, and it quotes field by
-    field, so the text equals those two fields of any row it writes. Its
-    `\\r\\n` line terminator is also what makes it quote a name holding
-    `\\r` or `\\n`: rendering with `lineterminator=""` would not.
+    field, so the text equals those fields of any row it writes. Its
+    `\\r\\n` line terminator is also what makes it quote a field holding
+    `\\r` or `\\n`: rendering with `lineterminator=""` would not. The
+    one exception is a lone empty field, which renders as `""`.
     """
     writerow = csv.writer(_Echo()).writerow
-    return RenderCache(lambda character: writerow((character, bundle.vertex(character).display_name))[:-2])
+    return RenderCache(lambda key: writerow(fields_of(key))[:-2])
+
+
+def character_fields(bundle: NetworkBundle) -> RenderCache:
+    """Each character's `id,name` CSV fields, rendered once, without a line end."""
+    return csv_fields(lambda character: (character, bundle.vertex(character).display_name))
 
 
 def fixed4() -> RenderCache:

@@ -9,7 +9,9 @@ import logging
 from tapmerge import load
 from tapmerge.cli import main
 
-from conftest import SCHOLARS_CSV, SCHOLARS_MANIFEST
+from conftest import DATA_DIR, SCHOLARS_CSV, SCHOLARS_MANIFEST
+
+GOLDEN_DEDUPE = DATA_DIR / "golden_dedupe"
 
 
 def run(*argv: str) -> int:
@@ -113,6 +115,15 @@ def test_dedupe_full_pipeline(tmp_path):
     assert manifest["now"] == 2014
     assert "sha256" in manifest["inputs"]["records"]
     assert "workers" not in manifest
+
+
+def test_dedupe_outputs_equal_the_golden_files(tmp_path):
+    # run_manifest.json holds absolute input paths, so it has no golden copy
+    assert run("dedupe", *base_args(tmp_path), "--theta", "0.8", "--now", "2014") == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "run_manifest.json")
+    assert written == sorted(p.name for p in GOLDEN_DEDUPE.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DEDUPE / name).read_bytes(), name
 
 
 def test_dedupe_groups_both_pairs_at_lower_theta(tmp_path):

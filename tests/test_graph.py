@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -210,3 +211,33 @@ def test_content_digest_changes_with_one_interval(club):
     changed = rebuild(club.bundle.vertices(), shifted, club.bundle.relation_types())
     assert copy.content_digest() == club.bundle.content_digest()
     assert changed.content_digest() != club.bundle.content_digest()
+
+
+def content_digest_reference(bundle: NetworkBundle) -> str:
+    vertex_ids = sorted(v.id for v in bundle.vertices())
+    edges = sorted(
+        (e.relation_id, e.character, e.entity, e.relation_type, e.interval.start, e.interval.end)
+        for e in bundle.edges()
+    )
+    return hashlib.sha256(repr((vertex_ids, edges)).encode("utf-8")).hexdigest()
+
+
+def many_edges() -> NetworkBundle:
+    # more vertices and edges than the digest renders per slice
+    bundle = NetworkBundle()
+    person = bundle.add_vertex(VertexKind.CHARACTER, "person", "Fäye")
+    for i in range(9000):
+        bundle.add_vertex(VertexKind.ENTITY, "club", f"club {i}")
+    for i in range(9000):
+        bundle.add_edge(person, f"e{i % 7 + 1:06d}", "mémber", (2000 + i % 5, 2010))
+    return bundle.seal()
+
+
+@pytest.mark.parametrize("which", ["scholars", "empty", "many edges"])
+def test_content_digest_equals_the_sha256_of_one_repr(scholars_bundle, which):
+    bundle = {
+        "scholars": lambda: scholars_bundle,
+        "empty": lambda: NetworkBundle().seal(),
+        "many edges": many_edges,
+    }[which]()
+    assert bundle.content_digest() == content_digest_reference(bundle)

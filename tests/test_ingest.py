@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import logging
 
 import pytest
 
 from tapmerge import NetworkBundle, VertexKind, export, load
+from tapmerge.cli import main
 from tapmerge.graph import DuplicateIdError
-from tapmerge.ingest import IngestError
+from tapmerge.ingest import RECORDS_HEADER, IngestError
 
 from conftest import SCHOLARS_MANIFEST
 
@@ -115,6 +118,60 @@ def test_wrong_header_is_fatal(tmp_path):
         load(path)
 
 
+def test_blank_first_line_is_a_wrong_header(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(f"\n{HEADER}\n,A,Uni,institution,study,2001,2002\n", encoding="utf-8")
+    with pytest.raises(IngestError, match="unexpected header"):
+        load(path)
+
+
+SHORT_AND_LONG_ROWS = [
+    ",A,Uni,institution,study,2001",
+    ",B,Uni,institution,study,2001,2002,extra,fields",
+    ",C",
+]
+
+
+def test_short_rows_are_rejected_and_extra_fields_ignored(tmp_path):
+    bundle, report = load(write_csv(tmp_path, SHORT_AND_LONG_ROWS))
+    assert [(r.line, r.reason, r.raw) for r in report.rejected] == [
+        (2, "expected 7 fields, got 6", ",A,Uni,institution,study,2001,"),
+        (4, "expected 7 fields, got 2", ",C,,,,,"),
+    ]
+    assert (report.total_rows, report.loaded_rows) == (3, 1)
+    (edge,) = bundle.edges()
+    assert bundle.vertex(edge.character).display_name == "B"
+    assert (edge.interval.start, edge.interval.end) == (2001, 2002)
+
+
+def test_short_row_is_fatal_under_strict(tmp_path):
+    with pytest.raises(IngestError, match="^line 2: expected 7 fields, got 6$"):
+        load(write_csv(tmp_path, SHORT_AND_LONG_ROWS), strict=True)
+
+
+def test_ingest_command_reports_a_short_row(tmp_path, caplog):
+    caplog.set_level(logging.ERROR, logger="tapmerge")
+    records = write_csv(tmp_path, SHORT_AND_LONG_ROWS)
+    assert main(["ingest", "--records", str(records), "--out", str(tmp_path / "lenient")]) == 0
+    report = json.loads((tmp_path / "lenient" / "load_report.json").read_text())
+    assert [r["reason"] for r in report["rejected"]] == ["expected 7 fields, got 6", "expected 7 fields, got 2"]
+    assert main(["ingest", "--records", str(records), "--out", str(tmp_path / "strict"), "--strict"]) == 1
+    assert [r.getMessage() for r in caplog.records] == ["line 2: expected 7 fields, got 6"]
+
+
+def test_loaded_edges_share_one_interval_per_span(tmp_path):
+    rows = [
+        ",A,Uni,institution,study,2001,2002",
+        ",B,Lab,institution,work,2001,2002",
+        ",A,Lab,institution,work,2001,2003",
+    ]
+    bundle, _ = load(write_csv(tmp_path, rows))
+    intervals = {e.relation_id: e.interval for e in bundle.edges()}
+    assert len(intervals) == 3
+    assert len({id(i) for i in intervals.values()}) == 2
+    assert not hasattr(next(bundle.edges()), "__dict__")
+
+
 def test_duplicate_rows_load_as_parallel_edges(tmp_path):
     rows = [",A,Uni,institution,study,2001,2002"] * 2
     bundle, _ = load(write_csv(tmp_path, rows))
@@ -144,6 +201,49 @@ def test_records_csv_round_trip_is_isomorphic(tmp_path, scholars_bundle):
     out2 = tmp_path / "thrice.csv"
     export(reloaded, "records-csv", out2)
     assert out.read_text() == out2.read_text()
+
+
+def records_csv_reference(bundle: NetworkBundle) -> list[list]:
+    """The records-csv rows for a `csv.writer`, sorted with the interval objects in the key."""
+    edges = sorted(bundle.edges(), key=lambda e: (e.character, e.relation_type, e.entity, e.interval, e.relation_id))
+    rows: list[list] = [RECORDS_HEADER]
+    for edge in edges:
+        character, entity = bundle.vertex(edge.character), bundle.vertex(edge.entity)
+        rows.append(
+            [
+                character.id,
+                character.display_name,
+                entity.display_name,
+                entity.type_label,
+                edge.relation_type,
+                edge.interval.start,
+                edge.interval.end,
+            ]
+        )
+    return rows
+
+
+def test_records_csv_equals_a_csv_writer_reference(tmp_path):
+    bundle = NetworkBundle()
+    wu = bundle.add_vertex(VertexKind.CHARACTER, "person", 'Wu, "Faye"\nJr.', vertex_id="p,1")
+    zhu = bundle.add_vertex(VertexKind.CHARACTER, "person", "Zhu")
+    uni = bundle.add_vertex(VertexKind.ENTITY, 'inst"itution', "Jinan, Univ.\r\n")
+    lab = bundle.add_vertex(VertexKind.ENTITY, "lab", "Lab")
+    # parallel edges that differ only in interval, added out of interval order
+    # and with ids whose order disagrees with it
+    bundle.add_edge(wu, uni, "work", (2005, 2009), relation_id="r1")
+    bundle.add_edge(wu, uni, "work", (2001, 2004), relation_id="r2")
+    bundle.add_edge(wu, uni, "work", (2001, 2003), relation_id="r3")
+    bundle.add_edge(wu, uni, "work", (2001, 2003), relation_id="r0")
+    bundle.add_edge(wu, lab, 'st"udy,', (1990, 1995), relation_id="r4")
+    bundle.add_edge(zhu, uni, "work", (2001, 2003), relation_id="r5")
+    bundle.seal()
+    path = tmp_path / "records.csv"
+    export(bundle, "records-csv", path)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(records_csv_reference(bundle))
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_dot_export_draws_every_vertex_and_edge(tmp_path, club):

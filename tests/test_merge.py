@@ -9,7 +9,7 @@ import pytest
 
 from tapmerge import NetworkBundle, Vertex, VertexKind, apply_merge, plan_merge, rebuild, verify_merge
 from tapmerge.graph import TimeInterval
-from tapmerge.merge import MergeError, StalePlanError
+from tapmerge.merge import EdgeDisposition, MergeError, StalePlanError
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 from conftest import ClubNet
@@ -183,6 +183,23 @@ def test_verification_reports_every_kind_of_corruption(scholars_bundle, scholar_
         corrupted = rebuild(corrupt_vertices, corrupt_edges, merged.relation_types())
         reported = {v.kind for v in verify_merge(scholars_bundle, corrupted, plan).violations}
         assert kind in reported, f"{kind} not reported; got {sorted(reported)}"
+
+
+def test_verification_reports_a_transfer_of_another_characters_edge(scholars_bundle, scholar_ids):
+    faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
+    plan = plan_merge(scholars_bundle, [[faye, fei]])
+    merged = apply_merge(scholars_bundle, plan).bundle
+    group = plan.groups[0]
+    (absorbed,) = group.absorbed
+    foreign = next(e.relation_id for e in scholars_bundle.edges() if e.character not in (faye, fei))
+    wrong = replace(
+        group,
+        dispositions={absorbed: (*group.dispositions[absorbed], EdgeDisposition(foreign, "transfer-to-representative"))},
+    )
+    report = verify_merge(scholars_bundle, merged, replace(plan, groups=[wrong]))
+    assert [(v.kind, v.detail) for v in report.violations] == [
+        ("neighbor degree mismatch", f"plan transfers {foreign}, which is not an edge of {absorbed}"),
+    ]
 
 
 def test_verification_flags_a_hand_corrupted_result(scholars_bundle, scholar_ids):
