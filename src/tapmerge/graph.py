@@ -114,43 +114,36 @@ def _update_with_repr(digest: hashlib._Hash, items: list) -> None:
 
 
 class TemporalActivityNetwork:
-    """All edges of one relation type, with per-vertex adjacency indexes."""
+    """All edges of one relation type, in insertion order and per character.
+
+    A character's edges are its temporal activity path in this subnetwork.
+    """
 
     def __init__(self, relation_type: str):
         self.relation_type = relation_type
-        self._edges: dict[str, TemporalEdge] = {}
-        self._by_character: dict[str, list[str]] = {}
-        self._by_entity: dict[str, list[str]] = {}
+        self._edges: list[TemporalEdge] = []
+        self._by_character: dict[str, list[TemporalEdge]] = {}
 
     def __len__(self) -> int:
         return len(self._edges)
 
     def _add(self, edge: TemporalEdge) -> None:
-        self._edges[edge.relation_id] = edge
-        self._by_character.setdefault(edge.character, []).append(edge.relation_id)
-        self._by_entity.setdefault(edge.entity, []).append(edge.relation_id)
+        self._edges.append(edge)
+        self._by_character.setdefault(edge.character, []).append(edge)
 
     def edges(self) -> Iterator[TemporalEdge]:
-        return iter(self._edges.values())
-
-    def edge(self, relation_id: str) -> TemporalEdge:
-        return self._edges[relation_id]
+        return iter(self._edges)
 
     def edges_of_character(self, character: str) -> list[TemporalEdge]:
-        return [self._edges[rid] for rid in self._by_character.get(character, [])]
-
-    def edges_at_entity(self, entity: str) -> list[TemporalEdge]:
-        return [self._edges[rid] for rid in self._by_entity.get(entity, [])]
-
-    def entities(self) -> list[str]:
-        return list(self._by_entity)
+        """The character's edges in insertion order, as a new list the caller may change."""
+        return list(self._by_character.get(character, ()))
 
     def neighbor_counts(self, character: str) -> Counter[str]:
         """Number of edges from `character` to each entity neighbor."""
-        return Counter(self._edges[rid].entity for rid in self._by_character.get(character, []))
+        return Counter(edge.entity for edge in self._by_character.get(character, ()))
 
     def degree(self, character: str) -> int:
-        return len(self._by_character.get(character, []))
+        return len(self._by_character.get(character, ()))
 
 
 class NetworkBundle:
@@ -164,8 +157,8 @@ class NetworkBundle:
     def __init__(self, time_unit: str = "year"):
         self.time_unit = time_unit
         self._vertices: dict[str, Vertex] = {}
+        # relation type -> subnetwork, in declaration / first-seen order
         self._subnetworks: dict[str, TemporalActivityNetwork] = {}
-        self._declared_relation_types: list[str] = []
         self._relation_ids: set[str] = set()
         self._sealed = False
         self._digest: str | None = None
@@ -184,9 +177,8 @@ class NetworkBundle:
         self._require_mutable()
         if not label:
             raise ValueError("relation type label must be nonempty")
-        if label not in self._declared_relation_types:
-            self._declared_relation_types.append(label)
-            self._subnetworks.setdefault(label, TemporalActivityNetwork(label))
+        if label not in self._subnetworks:
+            self._subnetworks[label] = TemporalActivityNetwork(label)
 
     def add_vertex(
         self,
@@ -302,7 +294,7 @@ class NetworkBundle:
 
     def relation_types(self) -> list[str]:
         """Declared relation types, in declaration / first-seen order."""
-        return list(self._declared_relation_types)
+        return list(self._subnetworks)
 
     def subnetwork(self, relation_type: str) -> TemporalActivityNetwork:
         try:
@@ -311,11 +303,11 @@ class NetworkBundle:
             raise GraphError(f"no subnetwork for relation type {relation_type!r}") from None
 
     def subnetworks(self) -> list[TemporalActivityNetwork]:
-        return [self._subnetworks[b] for b in self._declared_relation_types]
+        return list(self._subnetworks.values())
 
     def edges(self) -> Iterator[TemporalEdge]:
-        for beta in self._declared_relation_types:
-            yield from self._subnetworks[beta].edges()
+        for tan in self._subnetworks.values():
+            yield from tan.edges()
 
     @property
     def edge_count(self) -> int:
@@ -343,7 +335,7 @@ class NetworkBundle:
         labels = self.vertex_type_labels()
         if len(labels) < 2:
             raise HeterogeneityError(f"need at least 2 vertex type labels, have {sorted(labels)}")
-        if len(self._declared_relation_types) < 1:
+        if not self._subnetworks:
             raise HeterogeneityError("need at least 1 relation type")
 
 
@@ -392,11 +384,10 @@ def project_one_mode(bundle: NetworkBundle) -> OneModeNetwork:
     """
     relations: list[OneModeRelation] = []
     for tan in bundle.subnetworks():
-        for entity in sorted(tan.entities()):
-            edges = tan.edges_at_entity(entity)
-            per_character: dict[str, list[TemporalEdge]] = {}
-            for edge in edges:
-                per_character.setdefault(edge.character, []).append(edge)
+        by_entity: dict[str, dict[str, list[TemporalEdge]]] = {}
+        for edge in tan.edges():
+            by_entity.setdefault(edge.entity, {}).setdefault(edge.character, []).append(edge)
+        for entity, per_character in by_entity.items():
             chars = sorted(per_character)
             for i, x in enumerate(chars):
                 for y in chars[i + 1 :]:

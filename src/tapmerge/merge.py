@@ -72,7 +72,6 @@ class MergeAudit:
 @dataclass
 class MergedNetwork:
     bundle: NetworkBundle
-    mapping: dict[str, str]
     audit: MergeAudit
 
 
@@ -185,7 +184,7 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
         transferred_edges=transferred,
         mapping=mapping,
     )
-    return MergedNetwork(bundle=merged, mapping=dict(mapping), audit=audit)
+    return MergedNetwork(bundle=merged, audit=audit)
 
 
 def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequence[str]) -> dict[str, set]:

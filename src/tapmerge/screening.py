@@ -103,7 +103,6 @@ class CandidateSet:
 
     ids: list[tuple[str, str]]
     bucket_errors: dict[str, StructureError]
-    name_filter: NameFilter
     bucket_count: int
     largest_bucket: int
 
@@ -122,8 +121,9 @@ class CandidateSet:
 def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
     """Characters grouped by equal (relation_type, entity) -> edge count maps.
 
-    One pass over the edges builds every character's map. Members are in
-    id order; zero-degree characters have no map and join no bucket.
+    One pass over the edges builds every character's map; each map is
+    dropped once its signature is built. Members are in id order;
+    zero-degree characters have no map and join no bucket.
     """
     counts: dict[str, dict[tuple[str, str], int]] = {}
     for edge in bundle.edges():
@@ -134,7 +134,7 @@ def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
         own[key] = own.get(key, 0) + 1
     buckets: dict[frozenset, list[str]] = {}
     for character in bundle.character_ids():
-        own = counts.get(character)
+        own = counts.pop(character, None)
         if own is not None:
             buckets.setdefault(frozenset(own.items()), []).append(character)
     return list(buckets.values())
@@ -173,7 +173,7 @@ def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilte
         bucket_errors.update(dict.fromkeys(members, error))
         ids.extend(_bucket_pairs(bundle, members, name_filter))
     ids.sort()
-    return CandidateSet(ids, bucket_errors, name_filter, len(buckets), max(map(len, buckets), default=0))
+    return CandidateSet(ids, bucket_errors, len(buckets), max(map(len, buckets), default=0))
 
 
 # -- CSV rendering shared by the candidate and similarity writers ------------

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from tapmerge import NetworkBundle, TimeInterval, VertexKind, project_one_mode, rebuild
+from tapmerge import NetworkBundle, TimeInterval, VertexKind, apply_merge, load, plan_merge, project_one_mode, rebuild
 from tapmerge.graph import (
     DuplicateIdError,
     GraphError,
     HeterogeneityError,
+    OneModeRelation,
     SealedBundleError,
     UnknownVertexError,
     VertexKindError,
 )
+from tapmerge.testkit import RandomBundleSpec, generate
 
 
 def test_interval_rejects_inversion_and_negatives():
@@ -241,3 +245,123 @@ def test_content_digest_equals_the_sha256_of_one_repr(scholars_bundle, which):
         "many edges": many_edges,
     }[which]()
     assert bundle.content_digest() == content_digest_reference(bundle)
+
+
+def test_edges_of_character_is_a_copy_the_caller_may_change(club):
+    edges_before = list(club.bundle.edges())
+    mona = club.tan.edges_of_character(club.mona)
+    assert [e.relation_id for e in mona] == [club.r1, club.r2, club.r3]
+    mona.clear()
+    nora = club.tan.edges_of_character(club.nora)
+    nora.append(nora[0])
+    club.tan.edges_of_character("nobody").append(nora[0])
+
+    assert [e.relation_id for e in club.tan.edges_of_character(club.mona)] == [club.r1, club.r2, club.r3]
+    assert [e.relation_id for e in club.tan.edges_of_character(club.nora)] == [club.r4, club.r5]
+    assert club.tan.edges_of_character("nobody") == []
+    assert club.tan.degree(club.mona) == 3
+    assert club.tan.degree(club.nora) == 2
+    assert club.tan.neighbor_counts(club.mona) == {club.chess: 2, club.film: 1}
+    assert list(club.bundle.edges()) == edges_before
+
+
+DECLARED_ORDER = ["work", "unused", "study", "extra"]
+HEADER = "character_id,character_name,entity_name,entity_type,relation_type,start,end"
+
+
+def write_order_dataset(tmp_path):
+    """Rows interleave three relation types; the manifest declares one type no row uses and omits one."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"relation_types": ["work", "unused", "study"], "entity_types": ["club"]}))
+    records = tmp_path / "records.csv"
+    rows = [
+        ",Ann,Chess,club,study,2000,2001",  # r000001
+        ",Bea,Film,club,extra,2001,2002",  # r000002
+        ",Ann,Film,club,work,2002,2003",  # r000003
+        ",Ann B,Chess,club,study,2000,2001",  # r000004
+        ",Bea,Chess,club,study,2003,2004",  # r000005
+        ",Ann B,Film,club,work,2002,2004",  # r000006
+        ",Ann,Go,club,extra,2005,2006",  # r000007
+        ",Ann B,Go,club,extra,2005,2006",  # r000008
+        ",Bea,Go,club,work,2006,2007",  # r000009
+    ]
+    records.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    return records, manifest
+
+
+def assert_declaration_order(bundle: NetworkBundle, relation_ids: list[str]) -> None:
+    assert bundle.relation_types() == DECLARED_ORDER
+    assert [tan.relation_type for tan in bundle.subnetworks()] == DECLARED_ORDER
+    assert [e.relation_id for e in bundle.edges()] == relation_ids
+    bundle.validate()
+
+
+def test_relation_types_and_edges_follow_declaration_order(tmp_path):
+    bundle, report = load(*write_order_dataset(tmp_path))
+    assert report.discovered_relation_types == ["extra"]
+    # relation types in declaration order, then rows in file order within each type
+    loaded = ["r000003", "r000006", "r000009", "r000001", "r000004", "r000005", "r000002", "r000007", "r000008"]
+    assert_declaration_order(bundle, loaded)
+    assert len(bundle.subnetwork("unused")) == 0
+
+    # fed in row order, which interleaves the types
+    in_row_order = sorted(bundle.edges(), key=lambda e: e.relation_id)
+    copy = rebuild(bundle.vertices(), in_row_order, bundle.relation_types())
+    assert_declaration_order(copy, loaded)
+
+    names = {v.display_name: v.id for v in bundle.vertices(VertexKind.CHARACTER)}
+    merged = apply_merge(bundle, plan_merge(bundle, [[names["Ann"], names["Ann B"]]]))
+    # Ann B's r000004 and r000008 repeat Ann's facts and are dropped; r000006 differs and is transferred
+    assert merged.audit.dropped_edges == 2
+    assert merged.audit.transferred_edges == 1
+    assert_declaration_order(
+        merged.bundle, ["r000003", "r000006", "r000009", "r000001", "r000005", "r000002", "r000007"]
+    )
+
+
+def brute_force_projection(bundle: NetworkBundle) -> list[OneModeRelation]:
+    edges = list(bundle.edges())
+    relations = [
+        OneModeRelation(ea.character, eb.character, ea.entity, ea.relation_type, ea.relation_id, eb.relation_id)
+        for ea in edges
+        for eb in edges
+        if ea.character < eb.character and ea.entity == eb.entity and ea.relation_type == eb.relation_type
+    ]
+    return sorted(relations, key=lambda r: (r.a, r.b, r.entity, r.relation_type, r.edge_a, r.edge_b))
+
+
+def one_entity_in_two_relation_types() -> NetworkBundle:
+    bundle = NetworkBundle()
+    a, b, c = (bundle.add_vertex(VertexKind.CHARACTER, "person", name) for name in "ABC")
+    lab = bundle.add_vertex(VertexKind.ENTITY, "lab", "Lab")
+    for character, relation_type, interval in [
+        (c, "work", (2000, 2001)),
+        (a, "study", (2000, 2002)),
+        (b, "work", (2001, 2003)),
+        (a, "work", (2003, 2004)),
+        (c, "work", (2005, 2006)),
+        (b, "study", (2000, 2002)),
+        (a, "work", (2007, 2008)),
+    ]:
+        bundle.add_edge(character, lab, relation_type, interval)
+    return bundle.seal()
+
+
+@pytest.mark.parametrize("which", ["generated 0", "generated 1", "generated 2", "scholars", "one entity, two types"])
+def test_projection_equals_a_brute_force_over_all_edges(scholars_bundle, which):
+    if which.startswith("generated"):
+        seed = int(which.split()[1])
+        bundle = generate(RandomBundleSpec(characters=40, entities_per_type=5, relation_types=3, seed=seed))
+    else:
+        bundle = {"scholars": scholars_bundle, "one entity, two types": one_entity_in_two_relation_types()}[which]
+    expected = brute_force_projection(bundle)
+    one_mode = project_one_mode(bundle)
+    assert one_mode.relations == expected
+    assert one_mode.characters == bundle.character_ids()
+    if which.startswith("generated"):
+        # the shapes the projection must count: parallel edges and entities shared by several characters
+        facts = Counter((e.character, e.entity, e.relation_type) for e in bundle.edges())
+        assert max(facts.values()) >= 2
+        sharers = Counter(entity for _, entity, _ in facts)
+        assert sum(1 for n in sharers.values() if n >= 3) >= 3
+        assert any(facts[(r.a, r.entity, r.relation_type)] >= 2 for r in expected)

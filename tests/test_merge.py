@@ -124,7 +124,7 @@ def test_plan_and_result_ignore_group_listing_order(scholars_bundle, scholar_ids
     ]
     forward = apply_merge(scholars_bundle, plan_merge(scholars_bundle, groups))
     backward = apply_merge(scholars_bundle, plan_merge(scholars_bundle, [groups[1][::-1], groups[0][::-1]]))
-    assert forward.mapping == backward.mapping
+    assert forward.audit.mapping == backward.audit.mapping
     assert sorted(e.relation_id for e in forward.bundle.edges()) == sorted(
         e.relation_id for e in backward.bundle.edges()
     )
