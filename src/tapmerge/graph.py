@@ -248,6 +248,85 @@ class NetworkBundle:
         self._sealed = True
         return self
 
+    def derive(self, absorbed: dict[str, str], dropped: set[str]) -> "NetworkBundle":
+        """A sealed bundle without the `absorbed` characters, sharing all they do not touch.
+
+        `absorbed` maps each removed character to its representative. An
+        edge of an absorbed character is left out when its relation id is
+        in `dropped`, and otherwise re-filed under the representative at
+        the same position. The result equals what :func:`rebuild` gives
+        for the remaining vertices and edges, in every order it exposes,
+        but it shares the subnetworks no absorbed character has edges in,
+        the untouched characters' edge lists and the edges themselves with
+        this bundle, which must therefore be sealed.
+        """
+        if not self._sealed:
+            raise GraphError("derive from an unsealed bundle; seal it first")
+        for character in absorbed:
+            if self.vertex(character).kind is not VertexKind.CHARACTER:
+                raise VertexKindError(f"{character!r} is not a character vertex")
+        for representative in dict.fromkeys(absorbed.values()):
+            if representative in absorbed:
+                raise GraphError(f"representative {representative!r} is itself absorbed")
+            if self.vertex(representative).kind is not VertexKind.CHARACTER:
+                raise VertexKindError(f"{representative!r} is not a character vertex")
+
+        derived = NetworkBundle(time_unit=self.time_unit)
+        derived._vertices = self._vertices.copy()
+        for character in absorbed:
+            del derived._vertices[character]
+        derived._relation_ids = self._relation_ids.copy()
+        for relation_type, tan in self._subnetworks.items():
+            present = [character for character in absorbed if character in tan._by_character]
+            if not present:
+                derived._subnetworks[relation_type] = tan
+                continue
+            by_character = tan._by_character.copy()
+            rebuilt: dict[str, list[TemporalEdge]] = {}
+            for character in present:
+                del by_character[character]
+                rebuilt[absorbed[character]] = []
+            edges: list[TemporalEdge] = []
+            for edge in tan._edges:
+                character = edge.character
+                representative = absorbed.get(character)
+                if representative is not None:
+                    if edge.relation_id in dropped:
+                        derived._relation_ids.discard(edge.relation_id)
+                        continue
+                    edge = TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
+                    character = representative
+                edges.append(edge)
+                path = rebuilt.get(character)
+                if path is not None:
+                    path.append(edge)
+            by_character.update((character, path) for character, path in rebuilt.items() if path)
+            network = derived._subnetworks[relation_type] = TemporalActivityNetwork(relation_type)
+            network._edges, network._by_character = edges, by_character
+        return derived.seal()
+
+    def changed_paths(self, other: "NetworkBundle") -> set[str]:
+        """Characters whose edge list in some subnetwork differs from their list in `other`.
+
+        Subnetworks the two bundles share are skipped, and a shared or
+        equal list counts as unchanged, so against a bundle from
+        :meth:`derive` this costs one lookup per character of each
+        subnetwork the merge touched.
+        """
+        changed: set[str] = set()
+        for relation_type in {**self._subnetworks, **other._subnetworks}:
+            mine, theirs = self._subnetworks.get(relation_type), other._subnetworks.get(relation_type)
+            if mine is theirs:
+                continue
+            my_paths = mine._by_character if mine is not None else {}
+            their_paths = theirs._by_character if theirs is not None else {}
+            for character, path in my_paths.items():
+                their_path = their_paths.get(character)
+                if path is not their_path and path != their_path:
+                    changed.add(character)
+            changed.update(their_paths.keys() - my_paths.keys())
+        return changed
+
     @property
     def sealed(self) -> bool:
         return self._sealed
@@ -410,9 +489,9 @@ def rebuild(
 
     Ids are preserved verbatim and the edge objects themselves are
     stored, so the result shares them with the bundle they came from;
-    used by the merge engine and the test generators, which derive new
-    bundles from existing ones. An edge with a tuple interval or a
-    ``None`` relation id is stored as a completed copy.
+    tests and benchmark generators use it to derive new bundles from
+    existing ones. An edge with a tuple interval or a ``None`` relation
+    id is stored as a completed copy.
     """
     bundle = NetworkBundle(time_unit=time_unit)
     for beta in relation_types:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .graph import GraphError, NetworkBundle, TemporalEdge, VertexKind, rebuild
+from .graph import GraphError, NetworkBundle, TemporalEdge, VertexKind
 
 Disposition = Literal["drop-as-duplicate", "transfer-to-representative"]
 _Fact = tuple[str, str, int, int]  # (entity, relation type, start, end)
@@ -46,7 +46,9 @@ class GroupPlan:
 @dataclass
 class MergePlan:
     groups: list[GroupPlan]
-    bundle_fingerprint: str
+    # the sealed bundle the plan was built on; `apply_merge` compares
+    # content digests only when handed a different bundle
+    source: NetworkBundle = field(compare=False, repr=False)
 
     @property
     def removed_vertex_count(self) -> int:
@@ -97,13 +99,17 @@ def _edge_fact(edge: TemporalEdge) -> _Fact:
     return (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
 
 
-def _fact_index(edges: Iterable[TemporalEdge]) -> dict[str, list[tuple[_Fact, str]]]:
-    """Each character's (fact, relation id) list, sorted, built in one pass."""
+def _fact_index(bundle: NetworkBundle, characters: Iterable[str]) -> dict[str, list[tuple[_Fact, str]]]:
+    """Each listed character's sorted (fact, relation id) list over every subnetwork; none if it has no edges."""
     index: dict[str, list[tuple[_Fact, str]]] = {}
-    for edge in edges:
-        index.setdefault(edge.character, []).append((_edge_fact(edge), edge.relation_id))
-    for facts in index.values():
-        facts.sort()
+    for character in dict.fromkeys(characters):
+        facts = [
+            (_edge_fact(edge), edge.relation_id)
+            for tan in bundle.subnetworks()
+            for edge in tan.edges_of_character(character)
+        ]
+        if facts:
+            index[character] = sorted(facts)
     return index
 
 
@@ -115,6 +121,8 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
     representative ends up with each distinct fact exactly once on top
     of its own edges.
     """
+    if not bundle.sealed:
+        raise GraphError("merge plan of an unsealed bundle; seal it first")
     seen: set[str] = set()
     plans: list[GroupPlan] = []
     for group in sorted((sorted(set(g)) for g in groups), key=lambda g: g[0] if g else ""):
@@ -127,7 +135,7 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
             if bundle.vertex(member).kind is not VertexKind.CHARACTER:
                 raise MergeError(f"cannot merge non-character vertex {member!r}")
         representative, absorbed = group[0], tuple(group[1:])
-        index = _fact_index(e for tan in bundle.subnetworks() for m in group for e in tan.edges_of_character(m))
+        index = _fact_index(bundle, group)
         known_facts = {fact for fact, _ in index.get(representative, ())}
         dispositions: dict[str, tuple[EdgeDisposition, ...]] = {}
         for duplicate in absorbed:
@@ -140,51 +148,54 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
                     decided.append(EdgeDisposition(relation_id, "transfer-to-representative"))
             dispositions[duplicate] = tuple(decided)
         plans.append(GroupPlan(representative, absorbed, dispositions))
-    return MergePlan(groups=plans, bundle_fingerprint=bundle.content_digest())
+    return MergePlan(groups=plans, source=bundle)
 
 
 def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
-    """Produce the corrected bundle with every absorbed vertex removed."""
-    if plan.bundle_fingerprint != bundle.content_digest():
+    """Produce the corrected bundle with every absorbed vertex removed.
+
+    Only the group members' edges are visited: the result shares every
+    subnetwork, edge list and edge that no absorbed vertex touches with
+    `bundle` (:meth:`NetworkBundle.derive`). The content digests are
+    compared, and so computed, only when `bundle` is not the bundle the
+    plan was built on.
+    """
+    if bundle is not plan.source and bundle.content_digest() != plan.source.content_digest():
         raise StalePlanError("plan was computed against a different bundle")
 
-    action_by_edge: dict[str, tuple[str, Disposition]] = {}
     mapping: dict[str, str] = {}
+    dropped: set[str] = set()
+    transferred = 0
     for group in plan.groups:
         if not bundle.has_vertex(group.representative):
             raise StalePlanError(f"representative {group.representative!r} missing from bundle")
         for duplicate in group.absorbed:
+            if not bundle.has_vertex(duplicate):
+                raise StalePlanError(f"absorbed vertex {duplicate!r} missing from bundle")
+            if duplicate in mapping:
+                raise MergeError(f"vertex {duplicate!r} appears in more than one group")
             mapping[duplicate] = group.representative
-            for disposition in group.dispositions.get(duplicate, ()):
-                action_by_edge[disposition.relation_id] = (group.representative, disposition.action)
+            actions = {d.relation_id: d.action for d in group.dispositions.get(duplicate, ())}
+            for tan in bundle.subnetworks():
+                for edge in tan.edges_of_character(duplicate):
+                    action = actions.get(edge.relation_id)
+                    if action is None:
+                        raise StalePlanError(f"edge {edge.relation_id!r} of an absorbed vertex has no disposition")
+                    if action == "drop-as-duplicate":
+                        dropped.add(edge.relation_id)
+                    else:
+                        transferred += 1
+    for group in plan.groups:
+        if group.representative in mapping:
+            raise StalePlanError(f"representative {group.representative!r} is absorbed by another group")
 
-    dropped = transferred = 0
-    vertices = [v for v in bundle.vertices() if v.id not in mapping]
-    edges: list[TemporalEdge] = []
-    for edge in bundle.edges():
-        if edge.character not in mapping:
-            edges.append(edge)
-            continue
-        decision = action_by_edge.get(edge.relation_id)
-        if decision is None:
-            raise StalePlanError(f"edge {edge.relation_id!r} of an absorbed vertex has no disposition")
-        representative, action = decision
-        if action == "drop-as-duplicate":
-            dropped += 1
-        else:
-            transferred += 1
-            edges.append(
-                TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
-            )
-
-    merged = rebuild(vertices, edges, bundle.relation_types(), time_unit=bundle.time_unit)
     audit = MergeAudit(
         removed_vertices=len(mapping),
-        dropped_edges=dropped,
+        dropped_edges=len(dropped),
         transferred_edges=transferred,
         mapping=mapping,
     )
-    return MergedNetwork(bundle=merged, audit=audit)
+    return MergedNetwork(bundle=bundle.derive(mapping, dropped), audit=audit)
 
 
 def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequence[str]) -> dict[str, set]:
@@ -197,7 +208,13 @@ def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequ
 
 
 def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -> VerificationReport:
-    """Re-check the merge postconditions from scratch; empty report on success."""
+    """Re-check the merge postconditions from scratch; empty report on success.
+
+    A character outside every group passes the edge multiset check at
+    once when each of its edge lists equals its list in `before`; only
+    group members and characters whose lists differ have their facts
+    indexed and compared.
+    """
     report = VerificationReport()
 
     expected_removed = plan.removed_vertex_count
@@ -212,17 +229,23 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
         if after.has_vertex(vid):
             report.add("absorbed vertex present", f"{vid} survived the merge")
 
+    vertex_ids = {vertex.id for vertex in after.vertices()}
     for edge in after.edges():
-        if not after.has_vertex(edge.character) or not after.has_vertex(edge.entity):
+        if edge.character not in vertex_ids or edge.entity not in vertex_ids:
             report.add("dangling endpoint", f"edge {edge.relation_id} references a missing vertex")
 
     # per-character edge multisets: untouched characters keep theirs exactly,
     # representatives gain exactly the transferred facts
-    before_index, after_index = _fact_index(before.edges()), _fact_index(after.edges())
-    expected_facts: dict[str, list] = {}
-    for vertex in before.vertices(VertexKind.CHARACTER):
-        if vertex.id not in absorbed:
-            expected_facts[vertex.id] = [fact for fact, _ in before_index.get(vertex.id, ())]
+    representatives = {group.representative for group in plan.groups}
+    changed = before.changed_paths(after)
+    checked = [
+        vertex.id
+        for vertex in before.vertices(VertexKind.CHARACTER)
+        if vertex.id not in absorbed and (vertex.id in changed or vertex.id in representatives)
+    ]
+    before_index = _fact_index(before, [*checked, *representatives, *absorbed])
+    after_index = _fact_index(after, [*checked, *representatives])
+    expected_facts = {vid: [fact for fact, _ in before_index.get(vid, ())] for vid in checked}
     for group in plan.groups:
         for duplicate in group.absorbed:
             facts = {relation_id: fact for fact, relation_id in before_index.get(duplicate, ())}

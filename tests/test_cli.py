@@ -6,7 +6,7 @@ import csv
 import json
 import logging
 
-from tapmerge import load
+from tapmerge import NetworkBundle, load
 from tapmerge.cli import main
 
 from conftest import DATA_DIR, SCHOLARS_CSV, SCHOLARS_MANIFEST
@@ -124,6 +124,16 @@ def test_dedupe_outputs_equal_the_golden_files(tmp_path):
     assert written == sorted(p.name for p in GOLDEN_DEDUPE.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DEDUPE / name).read_bytes(), name
+
+
+def test_dedupe_never_hashes_the_bundle(tmp_path, monkeypatch):
+    def no_digest(bundle):
+        raise AssertionError("dedupe computed a bundle content digest")
+
+    monkeypatch.setattr(NetworkBundle, "content_digest", no_digest)
+    assert run("dedupe", *base_args(tmp_path), "--theta", "0.8", "--now", "2014") == 0
+    for golden in GOLDEN_DEDUPE.iterdir():
+        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name
 
 
 def test_dedupe_groups_both_pairs_at_lower_theta(tmp_path):
