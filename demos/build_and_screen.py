@@ -41,8 +41,8 @@ for i, x in enumerate(ids):
 
 candidates = screen_candidates(bundle)
 print("\nscreened candidates (the set of pairs worth a closer look):")
-for pair in candidates.pairs:
-    print(f"  {bundle.vertex(pair.x).display_name}  ~  {bundle.vertex(pair.y).display_name}")
+for x, y in candidates.pair_ids():
+    print(f"  {bundle.vertex(x).display_name}  ~  {bundle.vertex(y).display_name}")
 
 # the person-to-person projection, one tie per shared activity pair
 one_mode = project_one_mode(bundle)

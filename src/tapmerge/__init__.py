@@ -41,7 +41,6 @@ from .merge import (
     verify_merge,
 )
 from .screening import (
-    CandidatePair,
     CandidateSet,
     NameFilter,
     StructureError,
@@ -56,7 +55,6 @@ from .similarity import (
     edge_weight,
     enumerate_paths,
     neighbor_weight_vector,
-    path_weight,
     resolve_now,
     similarity_for_pairs,
     simtap,
@@ -91,7 +89,6 @@ __all__ = [
     "apply_merge",
     "plan_merge",
     "verify_merge",
-    "CandidatePair",
     "CandidateSet",
     "NameFilter",
     "StructureError",
@@ -104,7 +101,6 @@ __all__ = [
     "edge_weight",
     "enumerate_paths",
     "neighbor_weight_vector",
-    "path_weight",
     "resolve_now",
     "similarity_for_pairs",
     "simtap",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .graph import GraphError, NetworkBundle
+from .graph import GraphError, NetworkBundle, VertexKind
 from .ingest import EXPORT_FORMATS, IngestError, LoadReport, export, load
 from .merge import apply_merge, plan_merge, verify_merge, write_merge_audit
 from .screening import NameFilter, screen_candidates, write_candidates_csv
@@ -96,7 +96,7 @@ def _load_inputs(config: RunConfig) -> tuple[NetworkBundle, LoadReport]:
 def _resolve_pair_token(bundle: NetworkBundle, token: str) -> str:
     if bundle.has_vertex(token):
         return token
-    matches = [v.id for v in bundle.vertices() if v.display_name == token]
+    matches = [v.id for v in bundle.vertices(VertexKind.CHARACTER) if v.display_name == token]
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:

@@ -99,20 +99,6 @@ def _as_interval(interval: TimeInterval | tuple[int, int]) -> TimeInterval:
     return TimeInterval(start, end)
 
 
-# list items rendered per `hashlib` update by `_update_with_repr`
-_DIGEST_SLICE = 4096
-
-
-def _update_with_repr(digest: hashlib._Hash, items: list) -> None:
-    """Feed the UTF-8 bytes of `repr(items)` to `digest` without building that string."""
-    digest.update(b"[")
-    for i in range(0, len(items), _DIGEST_SLICE):
-        if i:
-            digest.update(b", ")
-        digest.update(repr(items[i : i + _DIGEST_SLICE])[1:-1].encode("utf-8"))
-    digest.update(b"]")
-
-
 class TemporalActivityNetwork:
     """All edges of one relation type, in insertion order and per character.
 
@@ -340,13 +326,7 @@ class NetworkBundle:
                 (e.relation_id, e.character, e.entity, e.relation_type, e.interval.start, e.interval.end)
                 for e in self.edges()
             )
-            # the sha256 of `repr((vertex_ids, edges))`, fed in slices
-            digest = hashlib.sha256(b"(")
-            _update_with_repr(digest, sorted(self._vertices))
-            digest.update(b", ")
-            _update_with_repr(digest, edges)
-            digest.update(b")")
-            self._digest = digest.hexdigest()
+            self._digest = hashlib.sha256(repr((sorted(self._vertices), edges)).encode("utf-8")).hexdigest()
         return self._digest
 
     # -- lookups ----------------------------------------------------------

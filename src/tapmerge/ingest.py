@@ -5,9 +5,10 @@ The record schema is a flat UTF-8 CSV with header
     character_id,character_name,entity_name,entity_type,relation_type,start,end
 
 `character_id` may be blank, in which case the exact name string keys the
-character. Entities are keyed by (name, type) exact match. An optional
-JSON manifest declares the relation and entity type vocabularies,
-the time unit, and a fixed `now` anchor.
+character; an explicit id and a name never key the same character, even
+when their strings are equal. Entities are keyed by (name, type) exact
+match. An optional JSON manifest declares the relation and entity type
+vocabularies and the time unit; the `now` anchor is the `--now` flag.
 """
 
 from __future__ import annotations
@@ -44,17 +45,12 @@ class TransactionRecord(NamedTuple):
     end: int
     character_id: str | None = None
 
-    @property
-    def character_key(self) -> str:
-        return self.character_id if self.character_id else self.character_name
-
 
 @dataclass
 class DatasetManifest:
     relation_types: list[str] = field(default_factory=list)
     entity_types: list[str] = field(default_factory=list)
     time_unit: str = "year"
-    now: int | None = None
 
     def __post_init__(self) -> None:
         if len(set(self.relation_types)) != len(self.relation_types):
@@ -66,11 +62,12 @@ class DatasetManifest:
     def from_json(cls, path: str | Path) -> "DatasetManifest":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if raw.get("now") is not None:
+            raise IngestError(f"{path}: a manifest cannot set `now`; pass the anchor with --now")
         return cls(
             relation_types=list(raw.get("relation_types", [])),
             entity_types=list(raw.get("entity_types", [])),
             time_unit=raw.get("time_unit", "year"),
-            now=raw.get("now"),
         )
 
     def to_json(self, path: str | Path) -> None:
@@ -78,7 +75,6 @@ class DatasetManifest:
             "relation_types": self.relation_types,
             "entity_types": self.entity_types,
             "time_unit": self.time_unit,
-            "now": self.now,
         }
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -136,12 +132,14 @@ def load_records(
     bundle = NetworkBundle(time_unit=manifest.time_unit)
     for beta in manifest.relation_types:
         bundle.declare_relation_type(beta)
-    characters: dict[str, str] = {}
+    # explicit ids and blank-id names are separate kinds of key
+    by_id: dict[str, str] = {}
+    by_name: dict[str, str] = {}
     entities: dict[tuple[str, str], str] = {}
     # one frozen interval object per distinct (start, end), shared by its edges
     intervals: dict[tuple[int, int], TimeInterval] = {}
     for rec in records:
-        ckey = rec.character_key
+        characters, ckey = (by_id, rec.character_id) if rec.character_id else (by_name, rec.character_name)
         if ckey not in characters:
             characters[ckey] = bundle.add_vertex(
                 VertexKind.CHARACTER, CHARACTER_TYPE_LABEL, rec.character_name, vertex_id=rec.character_id

@@ -18,7 +18,7 @@ degree_y); floats only appear in the reported value.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -84,32 +84,13 @@ def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
     return StructureError(x, y, value, degree_x, degree_y, shared, per_beta)
 
 
-@dataclass(frozen=True)
-class CandidatePair:
-    x: str
-    y: str
-    error: StructureError
-
-
 @dataclass
 class CandidateSet:
-    """Unordered character pairs with structure error zero, sorted by id.
-
-    The pairs are held as id tuples. All pairs of one signature bucket
-    share one `StructureError`, stored in `bucket_errors` under each
-    member's id (its own `x` and `y` are the bucket's first two
-    members); `pairs` builds the per-pair objects only when asked.
-    """
+    """Unordered character pairs with structure error zero, sorted by id."""
 
     ids: list[tuple[str, str]]
-    bucket_errors: dict[str, StructureError]
     bucket_count: int
     largest_bucket: int
-
-    @property
-    def pairs(self) -> list[CandidatePair]:
-        """One `CandidatePair` per id pair, built on each access; its error names that pair."""
-        return [CandidatePair(x, y, replace(self.bucket_errors[x], x=x, y=y)) for x, y in self.ids]
 
     def pair_ids(self) -> list[tuple[str, str]]:
         return list(self.ids)
@@ -156,24 +137,18 @@ def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilte
     Characters are bucketed by their neighbor-count signature, all built
     in one pass over the edges; equal signatures coincide with the
     integer-exact zero test pair by pair, so each bucket contributes all
-    of its internal pairs. Members of a bucket have equal neighbor
-    counts, so every pair in it has the same structure error, computed
-    once per bucket. Zero-degree characters never match (their error is
-    defined as 1).
+    of its internal pairs. Zero-degree characters never match (their
+    error is defined as 1).
     """
     if not bundle.sealed:
         raise GraphError("bundle must be sealed before screening")
     buckets = _signature_buckets(bundle)
     ids: list[tuple[str, str]] = []
-    bucket_errors: dict[str, StructureError] = {}
     for members in buckets:
-        if len(members) < 2:
-            continue
-        error = structure_error(bundle, members[0], members[1])
-        bucket_errors.update(dict.fromkeys(members, error))
-        ids.extend(_bucket_pairs(bundle, members, name_filter))
+        if len(members) > 1:
+            ids.extend(_bucket_pairs(bundle, members, name_filter))
     ids.sort()
-    return CandidateSet(ids, bucket_errors, len(buckets), max(map(len, buckets), default=0))
+    return CandidateSet(ids, len(buckets), max(map(len, buckets), default=0))
 
 
 # -- CSV rendering shared by the candidate and similarity writers ------------
@@ -227,8 +202,8 @@ def fixed4() -> RenderCache:
 
 
 def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: str | Path) -> None:
-    fields, fixed = character_fields(bundle), fixed4()
-    errors = candidates.bucket_errors
+    fields = character_fields(bundle)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
-        fh.writelines(f"{fields[x]},{fields[y]},{fixed[errors[x].value]}\r\n" for x, y in candidates.ids)
+        # equal signatures give 2*shared == degree_x + degree_y, so every error is exactly 0.0
+        fh.writelines(f"{fields[x]},{fields[y]},0.0000\r\n" for x, y in candidates.ids)

@@ -56,12 +56,12 @@ class TapPath:
 
 
 class SimilarityResult(NamedTuple):
+    """One pair's score per subnetwork, in `relation_types()` order, and their mean."""
+
     x: str
     y: str
-    per_relation_type: dict[str, float]
+    scores: tuple[float, ...]
     aggregate: float
-    now: int
-    subnetwork_count: int
 
 
 @dataclass
@@ -90,10 +90,6 @@ def edge_weight(edge: TemporalEdge, now: int) -> int:
             f"edge {edge.relation_id} starts at {edge.interval.start}, after now={now}"
         )
     return (now + 1 - edge.interval.start) * edge.interval.duration
-
-
-def path_weight(path: TapPath) -> int:
-    return path.weight_a * path.weight_b
 
 
 def enumerate_paths(tan: TemporalActivityNetwork, x: str, y: str, now: int) -> list[TapPath]:
@@ -201,15 +197,11 @@ def similarity_for_pairs(
 
     results = []
     for x, y in pairs:
-        per_beta = [
+        scores = tuple(
             _similarity(vec_x, vec_y, w_xx, w_yy) if w_xx and w_yy else 0.0
             for (vec_x, w_xx), (vec_y, w_yy) in zip(profiles[x], profiles[y])
-        ]
-        results.append(
-            SimilarityResult(
-                x, y, dict(zip(relation_types, per_beta)), combine_subnetwork_scores(per_beta), now, len(relation_types)
-            )
         )
+        results.append(SimilarityResult(x, y, scores, combine_subnetwork_scores(scores)))
     return results
 
 
@@ -237,13 +229,11 @@ def write_similarity_csv(
     bundle: NetworkBundle, results: Sequence[SimilarityResult], path: str | Path
 ) -> None:
     """One row per pair, one column per subnetwork in declaration order."""
-    relation_types = bundle.relation_types()
     fields, fixed = character_fields(bundle), fixed4()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *relation_types, "simtap"])
-        for result in results:
-            scores = [fixed[result.per_relation_type[beta]] for beta in relation_types]
-            fh.write(",".join([fields[result.x], fields[result.y], *scores, fixed[result.aggregate]]) + "\r\n")
+        csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
+        for x, y, scores, aggregate in results:
+            fh.write(",".join([fields[x], fields[y], *[fixed[s] for s in scores], fixed[aggregate]]) + "\r\n")
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

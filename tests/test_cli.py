@@ -70,6 +70,21 @@ def test_simtap_single_pair_by_name(tmp_path):
     assert float(rows[0]["simtap"]) == 0.9654
 
 
+def test_simtap_pair_names_match_characters_only(tmp_path):
+    # a publication titled like a person must not make that person's name ambiguous
+    records = tmp_path / "records.csv"
+    records.write_text(
+        SCHOLARS_CSV.read_text(encoding="utf-8") + ",Some Author,Faye Wu,publication,coauthor,2012,2012\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["--records", str(records), "--manifest", str(SCHOLARS_MANIFEST), "--out", str(out)]
+    assert run("simtap", *argv, "--pair", "Faye Wu,Fei Wu", "--now", "2014") == 0
+    with open(out / "similarity.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["x_name"], r["y_name"], r["simtap"]) for r in rows] == [("Faye Wu", "Fei Wu", "0.9654")]
+
+
 def test_simtap_unknown_vertex_exits_one(tmp_path, caplog):
     code = run("simtap", *base_args(tmp_path), "--pair", "Faye Wu,nobody-here")
     assert code == 1

@@ -191,6 +191,28 @@ def test_explicit_character_id_keys_identity(tmp_path):
     assert sorted(bundle.character_ids()) == ["p1", "p2"]
 
 
+@pytest.mark.parametrize("name_row_first", [True, False], ids=["name row first", "id row first"])
+def test_an_explicit_id_and_an_equal_name_key_two_characters(tmp_path, name_row_first):
+    rows = [",p1,MIT,institution,study,2001,2002", "p1,Bob,Acme,institution,work,2003,2004"]
+    bundle, _ = load(write_csv(tmp_path, rows if name_row_first else rows[::-1]))
+    characters = {bundle.vertex(cid).display_name: cid for cid in bundle.character_ids()}
+    assert sorted(characters) == ["Bob", "p1"]
+    assert characters["Bob"] == "p1"
+    facts = {
+        bundle.vertex(e.character).display_name: (bundle.vertex(e.entity).display_name, e.relation_type)
+        for e in bundle.edges()
+    }
+    assert facts == {"p1": ("MIT", "study"), "Bob": ("Acme", "work")}
+    assert bundle.edge_count == 2
+
+
+def test_manifest_with_a_now_is_rejected_naming_the_flag(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"relation_types": ["study"], "now": 2010}), encoding="utf-8")
+    with pytest.raises(IngestError, match="--now"):
+        load(write_csv(tmp_path, [",A,Uni,institution,study,2001,2002"]), path)
+
+
 def test_records_csv_round_trip_is_isomorphic(tmp_path, scholars_bundle):
     out = tmp_path / "again.csv"
     export(scholars_bundle, "records-csv", out)

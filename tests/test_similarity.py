@@ -17,7 +17,6 @@ from tapmerge import (
     edge_weight,
     enumerate_paths,
     neighbor_weight_vector,
-    path_weight,
     resolve_now,
     screen_candidates,
     simtap,
@@ -64,8 +63,8 @@ def test_edge_weight_rejects_future_start():
 def test_path_weight_is_a_commutative_product():
     p = TapPath("x", "e", "y", "r1", "r2", 15, 15)
     q = TapPath("x", "e", "y", "r2", "r1", 9, 121)
-    assert path_weight(p) == 225
-    assert path_weight(q) == path_weight(TapPath("x", "e", "y", "r1", "r2", 121, 9))
+    assert p.weight == 225
+    assert q.weight == TapPath("x", "e", "y", "r1", "r2", 121, 9).weight
 
 
 def test_club_paths_between_the_two_members(club):
@@ -136,12 +135,10 @@ def test_scaling_one_side_breaks_maximality():
 
 def test_aggregate_is_the_mean_over_declared_subnetworks(scholars_bundle, scholar_ids):
     result = simtap(scholars_bundle, scholar_ids["Faye Wu"], scholar_ids["Fei Wu"], now=SCHOLAR_NOW)
-    assert result.subnetwork_count == 4
-    assert list(result.per_relation_type) == ["study", "work", "research", "coauthor"]
-    assert result.per_relation_type["work"] == 1.0
-    assert result.aggregate == pytest.approx(
-        combine_subnetwork_scores(list(result.per_relation_type.values())), rel=1e-15
-    )
+    assert len(result.scores) == 4
+    assert scholars_bundle.relation_types() == ["study", "work", "research", "coauthor"]
+    assert result.scores[1] == 1.0
+    assert result.aggregate == pytest.approx(combine_subnetwork_scores(result.scores), rel=1e-15)
     # identical everywhere except the one diverging study interval
     assert 0.9 < result.aggregate < 1.0
 
@@ -150,7 +147,7 @@ def test_absent_subnetworks_count_as_zero_in_the_mean(scholars_bundle, scholar_i
     # neither shares anything with a scholar from a different field
     result = simtap(scholars_bundle, scholar_ids["Faye Wu"], scholar_ids["Kang Du"], now=SCHOLAR_NOW)
     assert result.aggregate == 0.0
-    assert all(v == 0.0 for v in result.per_relation_type.values())
+    assert all(v == 0.0 for v in result.scores)
 
 
 def test_combine_handles_empty_input():
@@ -270,8 +267,7 @@ def test_writers_match_a_csv_writer_reference(tmp_path):
     write_similarity_csv(bundle, results, tmp_path / "similarity.csv")
     expected = [["x_id", "x_name", "y_id", "y_name", "member", "coauthor", "simtap"]]
     expected += [
-        [r.x, name[r.x], r.y, name[r.y], f"{r.per_relation_type['member']:.4f}",
-         f"{r.per_relation_type['coauthor']:.4f}", f"{r.aggregate:.4f}"]
+        [r.x, name[r.x], r.y, name[r.y], f"{r.scores[0]:.4f}", f"{r.scores[1]:.4f}", f"{r.aggregate:.4f}"]
         for r in results
     ]
     assert (tmp_path / "similarity.csv").read_bytes() == csv_reference(expected)
@@ -332,9 +328,9 @@ def test_batch_scores_match_the_oracle_in_every_subnetwork(make_bundle):
         assert screen_candidates(bundle).pair_ids() == pairs
     for result in similarity_for_pairs(bundle, pairs, now):
         expected = [oracle_simtap_beta(bundle.subnetwork(b), result.x, result.y, now) for b in bundle.relation_types()]
-        assert list(result.per_relation_type.values()) == expected
+        assert list(result.scores) == expected
         # an absent subnetwork scores +0.0, the float the division gives
-        assert all(math.copysign(1.0, v) == 1.0 for v in result.per_relation_type.values())
+        assert all(math.copysign(1.0, v) == 1.0 for v in result.scores)
         assert result.aggregate == combine_subnetwork_scores(expected)
 
 
