@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -37,47 +36,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-class ValidationFailure(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on, resolved up front."""
-
-    command: str
-    records: Path
-    manifest: Path | None
-    out: Path
-    now: int | None
-    theta: float | None
-    name_filter: NameFilter
-    strict: bool
-    workers: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        config = cls(
-            command=args.command,
-            records=Path(args.records).resolve(),
-            manifest=Path(args.manifest).resolve() if args.manifest else None,
-            out=Path(args.out),
-            now=args.now,
-            theta=getattr(args, "theta", None),
-            name_filter=NameFilter(args.name_filter),
-            strict=args.strict,
-            workers=args.workers,
-        )
-        if config.command == "dedupe":
-            if config.theta is None:
-                raise ValidationFailure("dedupe requires --theta")
-            if not 0 < config.theta <= 1:
-                raise ValidationFailure(f"--theta must be in (0, 1], got {config.theta}")
-        if config.workers < 1:
-            raise ValidationFailure(f"--workers must be at least 1, got {config.workers}")
-        return config
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -86,11 +44,14 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _load_inputs(config: RunConfig) -> tuple[NetworkBundle, LoadReport]:
-    try:
-        return load(config.records, config.manifest, strict=config.strict)
-    except IngestError as exc:
-        raise ValidationFailure(str(exc)) from exc
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _load(args: argparse.Namespace) -> tuple[NetworkBundle, LoadReport]:
+    """Create the output directory, then load the records and the manifest."""
+    args.out.mkdir(parents=True, exist_ok=True)
+    return load(args.records, args.manifest, strict=args.strict)
 
 
 def _resolve_pair_token(bundle: NetworkBundle, token: str) -> str:
@@ -100,39 +61,14 @@ def _resolve_pair_token(bundle: NetworkBundle, token: str) -> str:
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:
-        raise ValidationFailure(f"name {token!r} is ambiguous; candidates: {', '.join(sorted(matches))}")
-    raise ValidationFailure(f"unknown vertex id or name: {token!r}")
+        raise ValueError(f"name {token!r} is ambiguous; candidates: {', '.join(sorted(matches))}")
+    raise ValueError(f"unknown vertex id or name: {token!r}")
 
 
-def _write_run_manifest(config: RunConfig, out: Path, now: int, extra: dict) -> None:
-    # deliberately excludes the worker count: it must not affect outputs
-    doc = {
-        "command": config.command,
-        "inputs": {
-            "records": {"path": str(config.records), "sha256": _sha256(config.records)},
-            "manifest": (
-                {"path": str(config.manifest), "sha256": _sha256(config.manifest)} if config.manifest else None
-            ),
-        },
-        "now": now,
-        "name_filter": config.name_filter.value,
-        "strict": config.strict,
-        "versions": {"tapmerge": __version__},
-    }
-    doc.update(extra)
-    (out / "run_manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def _out_dir(config: RunConfig) -> Path:
-    config.out.mkdir(parents=True, exist_ok=True)
-    return config.out
-
-
-def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    bundle, report = _load_inputs(config)
-    (out / "load_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    export(bundle, "graph-json", out / "graph.json")
+def cmd_ingest(args: argparse.Namespace) -> int:
+    bundle, report = _load(args)
+    _write_json(args.out / "load_report.json", report.to_dict())
+    export(bundle, "graph-json", args.out / "graph.json")
     log.info(
         "loaded %d rows (%d rejected): %d vertices, %d edges",
         report.total_rows, len(report.rejected), bundle.vertex_count, bundle.edge_count,
@@ -140,11 +76,10 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_screen(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    bundle, _ = _load_inputs(config)
-    candidates = screen_candidates(bundle, config.name_filter)
-    write_candidates_csv(bundle, candidates, out / "candidates.csv")
+def cmd_screen(args: argparse.Namespace) -> int:
+    bundle, _ = _load(args)
+    candidates = screen_candidates(bundle, NameFilter(args.name_filter))
+    write_candidates_csv(bundle, candidates, args.out / "candidates.csv")
     log.info(
         "screened %d characters in %d signature buckets (largest %d): %d candidate pairs",
         len(bundle.character_ids()), candidates.bucket_count, candidates.largest_bucket, len(candidates),
@@ -152,35 +87,34 @@ def cmd_screen(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simtap(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    bundle, _ = _load_inputs(config)
-    now = resolve_now(bundle, config.now)
+def cmd_simtap(args: argparse.Namespace) -> int:
+    bundle, _ = _load(args)
+    now = resolve_now(bundle, args.now)
     if args.pair:
         tokens = args.pair.split(",")
         if len(tokens) != 2:
-            raise ValidationFailure("--pair wants exactly two comma-separated ids or names")
+            raise ValueError("--pair wants exactly two comma-separated ids or names")
         pairs = [(_resolve_pair_token(bundle, tokens[0].strip()), _resolve_pair_token(bundle, tokens[1].strip()))]
     else:
-        pairs = screen_candidates(bundle, config.name_filter).pair_ids()
-    results = similarity_for_pairs(bundle, pairs, now, workers=config.workers)
-    write_similarity_csv(bundle, results, out / "similarity.csv")
+        pairs = screen_candidates(bundle, NameFilter(args.name_filter)).pair_ids()
+    results = similarity_for_pairs(bundle, pairs, now)
+    write_similarity_csv(bundle, results, args.out / "similarity.csv")
     log.info("similarity for %d pairs at now=%d", len(results), now)
     return EXIT_OK
 
 
-def cmd_dedupe(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    bundle, report = _load_inputs(config)
-    now = resolve_now(bundle, config.now)
+def cmd_dedupe(args: argparse.Namespace) -> int:
+    out = args.out
+    bundle, report = _load(args)
+    now = resolve_now(bundle, args.now)
 
-    candidates = screen_candidates(bundle, config.name_filter)
+    candidates = screen_candidates(bundle, NameFilter(args.name_filter))
     write_candidates_csv(bundle, candidates, out / "candidates.csv")
 
-    results = similarity_for_pairs(bundle, candidates.pair_ids(), now, workers=config.workers)
+    results = similarity_for_pairs(bundle, candidates.pair_ids(), now)
     write_similarity_csv(bundle, results, out / "similarity.csv")
 
-    groups = group_by_threshold(results, config.theta, now)
+    groups = group_by_threshold(results, args.theta, now)
     write_groups_json(groups, out / "groups.json")
 
     plan = plan_merge(bundle, groups.groups)
@@ -189,13 +123,30 @@ def cmd_dedupe(config: RunConfig, args: argparse.Namespace) -> int:
     if not verification.ok:
         for violation in verification.violations:
             log.error("merge verification: %s (%s)", violation.kind, violation.detail)
-        raise ValidationFailure("merge verification failed")
+        raise ValueError("merge verification failed")
 
     export(merged.bundle, "records-csv", out / "merged_records.csv")
     export(merged.bundle, "graph-json", out / "merged_graph.json")
     write_merge_audit(merged.audit, out / "merge_audit.json")
-    (out / "load_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    _write_run_manifest(config, out, now, {"theta": config.theta})
+    _write_json(out / "load_report.json", report.to_dict())
+    # deliberately excludes the worker count: it must not affect outputs
+    _write_json(
+        out / "run_manifest.json",
+        {
+            "command": args.command,
+            "inputs": {
+                "records": {"path": str(args.records), "sha256": _sha256(args.records)},
+                "manifest": (
+                    {"path": str(args.manifest), "sha256": _sha256(args.manifest)} if args.manifest else None
+                ),
+            },
+            "now": now,
+            "name_filter": args.name_filter,
+            "strict": args.strict,
+            "versions": {"tapmerge": __version__},
+            "theta": args.theta,
+        },
+    )
     log.info(
         "dedupe: %d signature buckets (largest %d), %d candidates, %d groups, "
         "removed %d vertices (dropped %d, transferred %d edges)",
@@ -206,13 +157,16 @@ def cmd_dedupe(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_export(config: RunConfig, args: argparse.Namespace) -> int:
-    out = _out_dir(config)
-    bundle, _ = _load_inputs(config)
-    suffix = {"records-csv": "records.csv", "graph-json": "graph.json", "dot": "graph.dot"}[args.format]
-    export(bundle, args.format, out / suffix)
-    log.info("exported %s to %s", args.format, out / suffix)
+def cmd_export(args: argparse.Namespace) -> int:
+    bundle, _ = _load(args)
+    path = args.out / {"records-csv": "records.csv", "graph-json": "graph.json", "dot": "graph.dot"}[args.format]
+    export(bundle, args.format, path)
+    log.info("exported %s to %s", args.format, path)
     return EXIT_OK
+
+
+def _absolute(path: str) -> Path:
+    return Path(path).resolve()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--records", required=True, help="activity records CSV")
-        p.add_argument("--manifest", default=None, help="dataset manifest JSON")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--records", type=_absolute, required=True, help="activity records CSV")
+        p.add_argument("--manifest", type=_absolute, default=None, help="dataset manifest JSON")
+        p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--strict", action="store_true", help="malformed or undeclared rows are fatal")
         p.add_argument("--now", type=int, default=None, help="time anchor (default: latest end time)")
         p.add_argument(
@@ -262,12 +216,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return args.func(config, args)
-    except ValidationFailure as exc:
-        log.error("%s", exc)
-        return EXIT_VALIDATION
-    except (GraphError, ValueError) as exc:
+        # every flag is checked before --out is created or any file is read
+        if args.command == "dedupe":
+            if args.theta is None:
+                raise ValueError("dedupe requires --theta")
+            if not 0 < args.theta <= 1:
+                raise ValueError(f"--theta must be in (0, 1], got {args.theta}")
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        return args.func(args)
+    except (IngestError, GraphError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -92,6 +92,13 @@ class TemporalEdge:
     interval: TimeInterval
 
 
+def _fresh_id(prefix: str, counter: int, taken: dict[str, Vertex] | set[str]) -> tuple[str, int]:
+    """The first generated id from `counter` on that is not in `taken`, and the next counter."""
+    while (fresh := f"{prefix}{counter:06d}") in taken:
+        counter += 1
+    return fresh, counter + 1
+
+
 def _as_interval(interval: TimeInterval | tuple[int, int]) -> TimeInterval:
     if isinstance(interval, TimeInterval):
         return interval
@@ -140,8 +147,7 @@ class NetworkBundle:
     readers; merging or planting produces a new bundle.
     """
 
-    def __init__(self, time_unit: str = "year"):
-        self.time_unit = time_unit
+    def __init__(self) -> None:
         self._vertices: dict[str, Vertex] = {}
         # relation type -> subnetwork, in declaration / first-seen order
         self._subnetworks: dict[str, TemporalActivityNetwork] = {}
@@ -173,15 +179,21 @@ class NetworkBundle:
         display_name: str,
         vertex_id: str | None = None,
     ) -> str:
+        """Register a vertex and return its id.
+
+        A generated id skips any id already registered. An explicit id
+        that is already registered, generated or not, is a
+        :class:`DuplicateIdError`.
+        """
         self._require_mutable()
         if not type_label:
             raise ValueError("type_label must be nonempty")
         if vertex_id is None:
             if kind is VertexKind.CHARACTER:
-                vertex_id, self._next_character = f"c{self._next_character:06d}", self._next_character + 1
+                vertex_id, self._next_character = _fresh_id("c", self._next_character, self._vertices)
             else:
-                vertex_id, self._next_entity = f"e{self._next_entity:06d}", self._next_entity + 1
-        if vertex_id in self._vertices:
+                vertex_id, self._next_entity = _fresh_id("e", self._next_entity, self._vertices)
+        elif vertex_id in self._vertices:
             raise DuplicateIdError(f"vertex id already registered: {vertex_id!r}")
         self._vertices[vertex_id] = Vertex(vertex_id, kind, type_label, display_name)
         return vertex_id
@@ -222,8 +234,8 @@ class NetworkBundle:
             raise VertexKindError(f"{entity!r} is not an entity vertex")
         span = _as_interval(interval)
         if relation_id is None:
-            relation_id, self._next_relation = f"r{self._next_relation:06d}", self._next_relation + 1
-        if relation_id in self._relation_ids:
+            relation_id, self._next_relation = _fresh_id("r", self._next_relation, self._relation_ids)
+        elif relation_id in self._relation_ids:
             raise DuplicateIdError(f"relation id already registered: {relation_id!r}")
         if relation_type not in self._subnetworks:
             self.declare_relation_type(relation_type)
@@ -257,7 +269,7 @@ class NetworkBundle:
             if self.vertex(representative).kind is not VertexKind.CHARACTER:
                 raise VertexKindError(f"{representative!r} is not a character vertex")
 
-        derived = NetworkBundle(time_unit=self.time_unit)
+        derived = NetworkBundle()
         derived._vertices = self._vertices.copy()
         for character in absorbed:
             del derived._vertices[character]
@@ -463,7 +475,6 @@ def rebuild(
     vertices: Iterable[Vertex],
     edges: Iterable[TemporalEdge],
     relation_types: Iterable[str],
-    time_unit: str = "year",
 ) -> NetworkBundle:
     """Assemble a sealed bundle from explicit vertices and edges.
 
@@ -473,7 +484,7 @@ def rebuild(
     existing ones. An edge with a tuple interval or a ``None`` relation
     id is stored as a completed copy.
     """
-    bundle = NetworkBundle(time_unit=time_unit)
+    bundle = NetworkBundle()
     for beta in relation_types:
         bundle.declare_relation_type(beta)
     for v in vertices:

@@ -8,7 +8,7 @@ The record schema is a flat UTF-8 CSV with header
 character; an explicit id and a name never key the same character, even
 when their strings are equal. Entities are keyed by (name, type) exact
 match. An optional JSON manifest declares the relation and entity type
-vocabularies and the time unit; the `now` anchor is the `--now` flag.
+vocabularies; the `now` anchor is the `--now` flag.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class TransactionRecord(NamedTuple):
 class DatasetManifest:
     relation_types: list[str] = field(default_factory=list)
     entity_types: list[str] = field(default_factory=list)
-    time_unit: str = "year"
 
     def __post_init__(self) -> None:
         if len(set(self.relation_types)) != len(self.relation_types):
@@ -67,14 +66,12 @@ class DatasetManifest:
         return cls(
             relation_types=list(raw.get("relation_types", [])),
             entity_types=list(raw.get("entity_types", [])),
-            time_unit=raw.get("time_unit", "year"),
         )
 
     def to_json(self, path: str | Path) -> None:
         doc = {
             "relation_types": self.relation_types,
             "entity_types": self.entity_types,
-            "time_unit": self.time_unit,
         }
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -129,7 +126,7 @@ def load_records(
 ) -> NetworkBundle:
     """Build a sealed bundle from already-validated records, consumed one at a time."""
     manifest = manifest or DatasetManifest()
-    bundle = NetworkBundle(time_unit=manifest.time_unit)
+    bundle = NetworkBundle()
     for beta in manifest.relation_types:
         bundle.declare_relation_type(beta)
     # explicit ids and blank-id names are separate kinds of key

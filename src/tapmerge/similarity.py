@@ -186,8 +186,9 @@ def similarity_for_pairs(
     Each character's weight vectors and self-weights are computed once
     and shared by all of its pairs. A subnetwork where either self-weight
     is 0 scores 0.0 without a dot product: edge weights are positive, so
-    that character has no entity there to share. `workers` is accepted
-    for compatibility and ignored: the loop is serial.
+    that character has no entity there to share. `workers` is ignored:
+    the loop is serial. The keyword stays because `bench/replay.py`
+    passes it.
     """
     relation_types = bundle.relation_types()
     profiles = {}

@@ -152,7 +152,7 @@ def plant_duplicates(
         )
     sources = sorted(rng.sample(eligible, k))
 
-    new_bundle = NetworkBundle(time_unit=bundle.time_unit)
+    new_bundle = NetworkBundle()
     for beta in bundle.relation_types():
         new_bundle.declare_relation_type(beta)
     for vertex in bundle.vertices():

@@ -6,6 +6,8 @@ import csv
 import json
 import logging
 
+import pytest
+
 from tapmerge import NetworkBundle, load
 from tapmerge.cli import main
 
@@ -181,3 +183,74 @@ def test_strict_mode_failure_exits_one(tmp_path):
 
 def test_future_now_anchor_exits_one(tmp_path):
     assert run("simtap", *base_args(tmp_path), "--pair", "Faye Wu,Fei Wu", "--now", "1980") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dedupe", "--theta", "0"], "--theta must be in (0, 1], got 0.0"),
+        (["dedupe", "--theta", "1.5"], "--theta must be in (0, 1], got 1.5"),
+        (["screen", "--workers", "0"], "--workers must be at least 1, got 0"),
+        # --theta is checked before --workers
+        (["dedupe", "--theta", "5", "--workers", "0"], "--theta must be in (0, 1], got 5.0"),
+    ],
+    ids=["theta zero", "theta above one", "workers zero", "theta before workers"],
+)
+def test_flag_validation_exits_one_before_out_is_created(tmp_path, caplog, argv, message):
+    out = tmp_path / "out"
+    assert run(*argv, *base_args(out)) == 1
+    assert caplog.messages == [message]
+    assert not out.exists()
+
+
+def test_simtap_pair_with_three_tokens_exits_one(tmp_path, caplog):
+    assert run("simtap", *base_args(tmp_path), "--pair", "a,b,c") == 1
+    assert caplog.messages[-1] == "--pair wants exactly two comma-separated ids or names"
+
+
+def test_manifest_that_is_not_json_exits_one(tmp_path, caplog):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"relation_types": [', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("screen", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 1
+    assert caplog.messages[-1].startswith("Expecting value")
+
+
+def test_missing_manifest_file_exits_two(tmp_path, caplog):
+    manifest = tmp_path / "nope.json"
+    out = tmp_path / "out"
+    assert run("screen", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 2
+    assert caplog.messages[-1] == f"[Errno 2] No such file or directory: {str(manifest.resolve())!r}"
+
+
+def test_records_file_with_a_wrong_header_exits_one(tmp_path, caplog):
+    records = tmp_path / "records.csv"
+    records.write_text("character_id,name\n", encoding="utf-8")
+    assert run("screen", "--records", str(records), "--out", str(tmp_path / "out")) == 1
+    assert caplog.messages[-1] == (
+        "unexpected header ['character_id', 'name']; expected "
+        "character_id,character_name,entity_name,entity_type,relation_type,start,end"
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, characters",
+    [
+        (["c000001,A,Uni,institution,study,2001,2002", ",B,Uni,institution,study,2003,2004"], ["c000001", "c000002"]),
+        (["e000001,A,Uni,institution,study,2001,2002"], ["e000001"]),
+    ],
+    ids=["explicit id before a generated character id", "explicit id equal to a generated entity id"],
+)
+def test_ingest_skips_generated_ids_an_explicit_id_took(tmp_path, rows, characters):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "character_id,character_name,entity_name,entity_type,relation_type,start,end\n" + "\n".join(rows) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run("ingest", "--records", str(records), "--out", str(out)) == 0
+    graph = json.loads((out / "graph.json").read_text(encoding="utf-8"))
+    kinds = {v["id"]: v["kind"] for v in graph["vertices"]}
+    assert sorted(v for v, kind in kinds.items() if kind == "character") == characters
+    assert len(kinds) == len(characters) + 1
+    assert len(graph["edges"]) == len(rows)

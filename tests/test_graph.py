@@ -55,6 +55,29 @@ def test_duplicate_explicit_id_rejected():
         bundle.add_vertex(VertexKind.CHARACTER, "person", "B", vertex_id="x1")
 
 
+def test_generated_ids_skip_ids_already_registered():
+    bundle = NetworkBundle()
+    a = bundle.add_vertex(VertexKind.CHARACTER, "person", "A", vertex_id="c000001")
+    b = bundle.add_vertex(VertexKind.CHARACTER, "person", "B", vertex_id="e000001")
+    assert bundle.add_vertex(VertexKind.CHARACTER, "person", "C") == "c000002"
+    e = bundle.add_vertex(VertexKind.ENTITY, "club", "E")
+    assert e == "e000002"
+    assert bundle.add_edge(a, e, "member", (2000, 2001), relation_id="r000001") == "r000001"
+    assert bundle.add_edge(a, e, "member", (2000, 2001)) == "r000002"
+    assert bundle.add_edge(b, e, "member", (2000, 2001)) == "r000003"
+
+
+def test_explicit_id_equal_to_a_generated_one_is_rejected():
+    bundle = NetworkBundle()
+    c = bundle.add_vertex(VertexKind.CHARACTER, "person", "A")
+    with pytest.raises(DuplicateIdError):
+        bundle.add_vertex(VertexKind.CHARACTER, "person", "B", vertex_id=c)
+    e = bundle.add_vertex(VertexKind.ENTITY, "club", "E")
+    r = bundle.add_edge(c, e, "member", (2000, 2001))
+    with pytest.raises(DuplicateIdError):
+        bundle.add_edge(c, e, "member", (2000, 2001), relation_id=r)
+
+
 def test_add_edge_happy_path_and_parallel_edges():
     bundle = NetworkBundle()
     c = bundle.add_vertex(VertexKind.CHARACTER, "person", "Faye Wu")
@@ -136,12 +159,7 @@ def test_projection_single_character_has_no_relations():
 
 
 def test_rebuild_preserves_everything(club):
-    copy = rebuild(
-        club.bundle.vertices(),
-        club.bundle.edges(),
-        club.bundle.relation_types(),
-        time_unit=club.bundle.time_unit,
-    )
+    copy = rebuild(club.bundle.vertices(), club.bundle.edges(), club.bundle.relation_types())
     assert copy.sealed
     assert {v.id for v in copy.vertices()} == {v.id for v in club.bundle.vertices()}
     assert sorted(e.relation_id for e in copy.edges()) == sorted(e.relation_id for e in club.bundle.edges())

@@ -306,7 +306,7 @@ def rebuild_reference(bundle: NetworkBundle, plan) -> NetworkBundle:
         elif actions[edge.relation_id] == "transfer-to-representative":
             edges.append(replace(edge, character=representative))
     vertices = [v for v in bundle.vertices() if v.id not in mapping]
-    return rebuild(vertices, edges, bundle.relation_types(), time_unit=bundle.time_unit)
+    return rebuild(vertices, edges, bundle.relation_types())
 
 
 def paths_of(bundle: NetworkBundle, characters) -> dict[tuple[str, str], list]:
