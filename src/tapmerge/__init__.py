@@ -48,6 +48,7 @@ from .screening import (
     structure_error,
 )
 from .similarity import (
+    PairScores,
     RedundantGroupSet,
     SimilarityResult,
     TapPath,
@@ -94,6 +95,7 @@ __all__ = [
     "StructureError",
     "screen_candidates",
     "structure_error",
+    "PairScores",
     "RedundantGroupSet",
     "SimilarityResult",
     "TapPath",

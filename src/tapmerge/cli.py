@@ -49,9 +49,13 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _load(args: argparse.Namespace) -> tuple[NetworkBundle, LoadReport]:
-    """Create the output directory, then load the records and the manifest."""
+    """Load the records and the manifest, then create the output directory.
+
+    An input that cannot be read or parsed leaves no `--out` behind.
+    """
+    loaded = load(args.records, args.manifest, strict=args.strict)
     args.out.mkdir(parents=True, exist_ok=True)
-    return load(args.records, args.manifest, strict=args.strict)
+    return loaded
 
 
 def _resolve_pair_token(bundle: NetworkBundle, token: str) -> str:
@@ -99,7 +103,7 @@ def cmd_simtap(args: argparse.Namespace) -> int:
         pairs = screen_candidates(bundle, NameFilter(args.name_filter)).pair_ids()
     results = similarity_for_pairs(bundle, pairs, now)
     write_similarity_csv(bundle, results, args.out / "similarity.csv")
-    log.info("similarity for %d pairs at now=%d", len(results), now)
+    log.info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, len(results.table))
     return EXIT_OK
 
 
@@ -148,9 +152,9 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
         },
     )
     log.info(
-        "dedupe: %d signature buckets (largest %d), %d candidates, %d groups, "
+        "dedupe: %d signature buckets (largest %d), %d candidates, %d class pairs scored, %d groups, "
         "removed %d vertices (dropped %d, transferred %d edges)",
-        candidates.bucket_count, candidates.largest_bucket, len(candidates), len(groups.groups),
+        candidates.bucket_count, candidates.largest_bucket, len(candidates), len(results.table), len(groups.groups),
         merged.audit.removed_vertices,
         merged.audit.dropped_edges, merged.audit.transferred_edges,
     )

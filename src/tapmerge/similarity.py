@@ -17,17 +17,25 @@ when the characters share no entities. The bundle-level score is the
 plain mean over all declared subnetworks, counting a subnetwork a
 character is absent from as 0.
 
+A pair's scores depend only on the two characters' aggregated weight
+vectors, so a batch puts characters with equal vectors in one class and
+scores each pair of classes once (`PairScores`). The candidates in
+one signature bucket share their structure, so a bucket of thousands of
+people around one popular entity has far fewer classes than pairs.
+
 All accumulation is exact integer arithmetic; the single final division
-is the only float operation, so results are bit-reproducible.
+is the only float operation, so results are bit-reproducible and do not
+depend on which member of a class or pair comes first.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graph import GraphError, NetworkBundle, TemporalActivityNetwork, TemporalEdge, VertexKind
 from .screening import CandidateSet, character_fields, fixed4
@@ -62,6 +70,31 @@ class SimilarityResult(NamedTuple):
     y: str
     scores: tuple[float, ...]
     aggregate: float
+
+
+@dataclass
+class PairScores(Sequence[SimilarityResult]):
+    """Similarity for a list of pairs, stored once per pair of weight-vector classes.
+
+    `pairs[i]` has the scores and aggregate of `table[index[i]]`. Read as
+    a sequence, it builds each pair's `SimilarityResult` on demand.
+    """
+
+    pairs: Sequence[tuple[str, str]]
+    # `field()` stops the inherited `Sequence.index` being read as a default
+    index: list[int] = field()
+    table: list[tuple[tuple[float, ...], float]]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i: int) -> SimilarityResult:
+        x, y = self.pairs[i]
+        return SimilarityResult(x, y, *self.table[self.index[i]])
+
+    def __iter__(self) -> Iterator[SimilarityResult]:
+        for (x, y), row in zip(self.pairs, self.index):
+            yield SimilarityResult(x, y, *self.table[row])
 
 
 @dataclass
@@ -180,39 +213,57 @@ def similarity_for_pairs(
     pairs: Sequence[tuple[str, str]],
     now: int,
     workers: int = 1,
-) -> list[SimilarityResult]:
+) -> PairScores:
     """Similarity for each pair, in input order.
 
-    Each character's weight vectors and self-weights are computed once
-    and shared by all of its pairs. A subnetwork where either self-weight
-    is 0 scores 0.0 without a dot product: edge weights are positive, so
-    that character has no entity there to share. `workers` is ignored:
-    the loop is serial. The keyword stays because `bench/replay.py`
-    passes it.
+    Characters whose weight vectors are equal in every subnetwork form
+    one class, and each distinct unordered pair of classes is scored
+    once; its row in `PairScores.table` serves every pair between those
+    classes. A subnetwork where either self-weight is 0 scores 0.0
+    without a dot product: edge weights are positive, so that character
+    has no entity there to share. `workers` is ignored: the loop is
+    serial. The keyword stays because `bench/replay.py` passes it.
     """
-    relation_types = bundle.relation_types()
-    profiles = {}
+    class_of: dict[str, int] = {}
+    class_ids: dict[tuple, int] = {}
+    profiles = []
     for character in sorted({c for pair in pairs for c in pair}):
-        vectors = neighbor_weight_vector(bundle, character, now)
-        profiles[character] = [(vectors[beta], _self_weight(vectors[beta])) for beta in relation_types]
+        vectors = list(neighbor_weight_vector(bundle, character, now).values())
+        key = tuple(tuple(sorted(vec.items())) for vec in vectors)
+        cls = class_ids.get(key)
+        if cls is None:
+            cls = class_ids[key] = len(profiles)
+            profiles.append([(vec, _self_weight(vec)) for vec in vectors])
+        class_of[character] = cls
 
-    results = []
+    classes = len(profiles)
+    row_of: dict[int, int] = {}
+    index, table = [], []
     for x, y in pairs:
-        scores = tuple(
-            _similarity(vec_x, vec_y, w_xx, w_yy) if w_xx and w_yy else 0.0
-            for (vec_x, w_xx), (vec_y, w_yy) in zip(profiles[x], profiles[y])
-        )
-        results.append(SimilarityResult(x, y, scores, combine_subnetwork_scores(scores)))
-    return results
+        a, b = class_of[x], class_of[y]
+        row = row_of.get(a * classes + b)
+        if row is None:
+            # both orders of the class pair share the row
+            row = row_of[a * classes + b] = row_of[b * classes + a] = len(table)
+            scores = tuple([
+                _similarity(vec_a, vec_b, w_aa, w_bb) if w_aa and w_bb else 0.0
+                for (vec_a, w_aa), (vec_b, w_bb) in zip(profiles[a], profiles[b])
+            ])
+            table.append((scores, combine_subnetwork_scores(scores)))
+        index.append(row)
+    return PairScores(pairs, index, table)
 
 
-def group_by_threshold(results: Iterable[SimilarityResult], theta: float, now: int) -> RedundantGroupSet:
+def group_by_threshold(results: PairScores, theta: float, now: int) -> RedundantGroupSet:
+    """Union every pair whose class-pair row has an aggregate >= theta."""
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     dsu = UnionFind()
-    for result in results:
-        if result.aggregate >= theta:
-            dsu.union(result.x, result.y)
+    confirmed = [aggregate >= theta for _, aggregate in results.table]
+    if any(confirmed):
+        for (x, y), row in zip(results.pairs, results.index):
+            if confirmed[row]:
+                dsu.union(x, y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
 
 
@@ -226,15 +277,16 @@ def threshold_groups(
 # -- reports -----------------------------------------------------------------
 
 
-def write_similarity_csv(
-    bundle: NetworkBundle, results: Sequence[SimilarityResult], path: str | Path
-) -> None:
-    """One row per pair, one column per subnetwork in declaration order."""
+def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str | Path) -> None:
+    """One row per pair, one column per subnetwork in declaration order.
+
+    Each class-pair row's score columns are rendered once.
+    """
     fields, fixed = character_fields(bundle), fixed4()
+    rows = [",".join([*[fixed[s] for s in scores], fixed[aggregate]]) for scores, aggregate in results.table]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
-        for x, y, scores, aggregate in results:
-            fh.write(",".join([fields[x], fields[y], *[fixed[s] for s in scores], fixed[aggregate]]) + "\r\n")
+        fh.writelines(f"{fields[x]},{fields[y]},{rows[row]}\r\n" for (x, y), row in zip(results.pairs, results.index))
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

@@ -49,7 +49,10 @@ def test_screen_and_dedupe_log_their_signature_buckets(tmp_path, caplog):
     assert "in 6 signature buckets (largest 2): 2 candidate pairs" in caplog.text
     caplog.clear()
     assert run("dedupe", *base_args(tmp_path), "--theta", "0.80", "--now", "2014") == 0
-    assert "dedupe: 6 signature buckets (largest 2), 2 candidates" in caplog.text
+    assert "dedupe: 6 signature buckets (largest 2), 2 candidates, 2 class pairs scored, 1 groups" in caplog.text
+    caplog.clear()
+    assert run("simtap", *base_args(tmp_path), "--now", "2014") == 0
+    assert "similarity for 2 pairs at now=2014, 2 class pairs scored" in caplog.text
 
 
 def test_screen_on_empty_dataset_succeeds(tmp_path):
@@ -169,7 +172,9 @@ def test_export_dot(tmp_path):
 
 
 def test_missing_records_file_exits_two(tmp_path):
-    assert run("screen", "--records", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 2
+    out = tmp_path / "out"
+    assert run("screen", "--records", str(tmp_path / "nope.csv"), "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_strict_mode_failure_exits_one(tmp_path):
@@ -214,6 +219,7 @@ def test_manifest_that_is_not_json_exits_one(tmp_path, caplog):
     out = tmp_path / "out"
     assert run("screen", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 1
     assert caplog.messages[-1].startswith("Expecting value")
+    assert not out.exists()
 
 
 def test_missing_manifest_file_exits_two(tmp_path, caplog):
@@ -221,16 +227,19 @@ def test_missing_manifest_file_exits_two(tmp_path, caplog):
     out = tmp_path / "out"
     assert run("screen", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 2
     assert caplog.messages[-1] == f"[Errno 2] No such file or directory: {str(manifest.resolve())!r}"
+    assert not out.exists()
 
 
 def test_records_file_with_a_wrong_header_exits_one(tmp_path, caplog):
     records = tmp_path / "records.csv"
     records.write_text("character_id,name\n", encoding="utf-8")
-    assert run("screen", "--records", str(records), "--out", str(tmp_path / "out")) == 1
+    out = tmp_path / "out"
+    assert run("screen", "--records", str(records), "--out", str(out)) == 1
     assert caplog.messages[-1] == (
         "unexpected header ['character_id', 'name']; expected "
         "character_id,character_name,entity_name,entity_type,relation_type,start,end"
     )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

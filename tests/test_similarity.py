@@ -21,13 +21,22 @@ from tapmerge import (
     screen_candidates,
     simtap,
     simtap_beta,
+    similarity,
     similarity_for_pairs,
     threshold_groups,
 )
 from tapmerge.graph import GraphError, TemporalEdge, TimeInterval
 from tapmerge.screening import structure_error, write_candidates_csv
 from tapmerge.similarity import FutureEdgeError, TapPath, group_by_threshold, write_similarity_csv
-from tapmerge.testkit import oracle_simtap_beta
+from tapmerge.testkit import (
+    PlantMode,
+    RandomBundleSpec,
+    fully_active_characters,
+    generate,
+    oracle_simtap_beta,
+    plant_duplicates,
+)
+from tapmerge.unionfind import UnionFind
 
 from conftest import SCHOLAR_NOW
 
@@ -334,6 +343,43 @@ def test_batch_scores_match_the_oracle_in_every_subnetwork(make_bundle):
         assert result.aggregate == combine_subnetwork_scores(expected)
 
 
+def weight_class(bundle: NetworkBundle, character: str, now: int) -> tuple:
+    """A character's weight vectors, one per subnetwork, as a hashable key."""
+    return tuple(tuple(sorted(vec.items())) for vec in neighbor_weight_vector(bundle, character, now).values())
+
+
+def test_each_class_pair_is_scored_once_in_a_popular_entity_bucket(monkeypatch):
+    bundle = hot_entity_bundle(500)
+    now = 2010
+    pairs = screen_candidates(bundle).pair_ids()
+    assert len(pairs) == 500 * 499 // 2
+    key = {c: weight_class(bundle, c, now) for c in bundle.character_ids()}
+    class_pairs = {tuple(sorted((key[x], key[y]))) for x, y in pairs}
+
+    calls = 0
+    score = similarity._similarity
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return score(*args)
+
+    monkeypatch.setattr(similarity, "_similarity", counted)
+    results = similarity_for_pairs(bundle, pairs, now)
+    assert calls <= len(class_pairs) < len(pairs) // 100
+    assert len(results.table) == len(class_pairs)
+
+    # equal weight vectors score 1 in the one active subnetwork of four
+    theta = 0.25
+    dsu = UnionFind()
+    for result in list(results):
+        if result.aggregate >= theta:
+            dsu.union(result.x, result.y)
+    groups = group_by_threshold(results, theta, now).groups
+    assert groups == dsu.groups()
+    assert len(groups) == len(set(key.values()))
+
+
 # -- randomized properties ---------------------------------------------------
 
 
@@ -393,3 +439,36 @@ def test_production_similarity_matches_path_enumeration_oracle(data):
             fast = simtap_beta(tan, x, y, now)
             slow = oracle_simtap_beta(tan, x, y, now)
             assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def bundles_with_clones(draw):
+    spec = RandomBundleSpec(
+        characters=draw(st.integers(2, 8)),
+        entities_per_type=draw(st.integers(1, 3)),
+        relation_types=draw(st.integers(1, 3)),
+        edge_density=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    bundle = generate(spec)
+    # exact clones share every weight vector with their source, so classes repeat
+    mode = draw(st.sampled_from(PlantMode))
+    k = draw(st.integers(0, min(len(fully_active_characters(bundle)), 3)))
+    return plant_duplicates(bundle, k, mode, seed=draw(st.integers(0, 2**16)))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundles_with_clones())
+def test_class_scoring_equals_per_pair_scoring(bundle):
+    now = 2019  # time-shifted clones start up to 5 years after the span's end
+    ids = bundle.character_ids()
+    pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]]
+    results = similarity_for_pairs(bundle, pairs, now)
+    swapped = similarity_for_pairs(bundle, [(y, x) for x, y in pairs], now)
+    assert len(results) == len(pairs)
+    for (x, y), result, back in zip(pairs, results, swapped):
+        expected = [oracle_simtap_beta(bundle.subnetwork(b), x, y, now) for b in bundle.relation_types()]
+        assert (result.x, result.y) == (x, y)
+        assert list(result.scores) == expected
+        assert result.aggregate == combine_subnetwork_scores(expected)
+        assert (back.x, back.y, back.scores, back.aggregate) == (y, x, result.scores, result.aggregate)
