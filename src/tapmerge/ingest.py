@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .graph import NetworkBundle, TimeInterval, VertexKind
+from .graph import NetworkBundle, TemporalEdge, TimeInterval, VertexKind
 from .screening import character_fields, csv_fields
 
 RECORDS_HEADER = ["character_id", "character_name", "entity_name", "entity_type", "relation_type", "start", "end"]
@@ -61,12 +61,15 @@ class DatasetManifest:
     def from_json(cls, path: str | Path) -> "DatasetManifest":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise IngestError(f"{path}: a manifest must be a JSON object")
         if raw.get("now") is not None:
             raise IngestError(f"{path}: a manifest cannot set `now`; pass the anchor with --now")
-        return cls(
-            relation_types=list(raw.get("relation_types", [])),
-            entity_types=list(raw.get("entity_types", [])),
-        )
+        vocabularies = {key: raw.get(key, []) for key in ("relation_types", "entity_types")}
+        for key, labels in vocabularies.items():
+            if not isinstance(labels, list) or not all(isinstance(label, str) and label for label in labels):
+                raise IngestError(f"{path}: `{key}` must be a list of non-empty strings")
+        return cls(**vocabularies)
 
     def to_json(self, path: str | Path) -> None:
         doc = {
@@ -101,90 +104,116 @@ class LoadReport:
         }
 
 
-def _parse_row(row: list[str], line: int) -> TransactionRecord:
-    if len(row) < len(RECORDS_HEADER):
-        raise IngestError(f"line {line}: expected {len(RECORDS_HEADER)} fields, got {len(row)}")
-    names = (row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip())
-    if not all(names):
-        empty = next(label for label, name in zip(RECORDS_HEADER[1:5], names) if not name)
-        raise IngestError(f"line {line}: empty {empty}")
-    try:
-        start = int(row[5])
-        end = int(row[6])
-    except ValueError:
-        raise IngestError(f"line {line}: start/end are not integers") from None
-    if start < 0 or end < 0:
-        raise IngestError(f"line {line}: negative time point")
-    if end < start:
-        raise IngestError(f"line {line}: inverted interval")
-    return TransactionRecord(*names, start, end, row[0].strip() or None)
-
-
 def load_records(
     records: Iterable[TransactionRecord],
     manifest: DatasetManifest | None = None,
 ) -> NetworkBundle:
-    """Build a sealed bundle from already-validated records, consumed one at a time."""
+    """Build a sealed bundle from already-validated records, read by position one at a time.
+
+    `load`'s one trusted build path: new vertices keep `add_vertex`'s checks, while edges are
+    filed directly, as `add_edge`'s checks (kept for hand-built bundles) cannot fail here.
+    """
     manifest = manifest or DatasetManifest()
     bundle = NetworkBundle()
     for beta in manifest.relation_types:
         bundle.declare_relation_type(beta)
+    subnetworks, relation_ids = bundle._subnetworks, bundle._relation_ids
     # explicit ids and blank-id names are separate kinds of key
     by_id: dict[str, str] = {}
     by_name: dict[str, str] = {}
     entities: dict[tuple[str, str], str] = {}
     # one frozen interval object per distinct (start, end), shared by its edges
     intervals: dict[tuple[int, int], TimeInterval] = {}
-    for rec in records:
-        characters, ckey = (by_id, rec.character_id) if rec.character_id else (by_name, rec.character_name)
-        if ckey not in characters:
-            characters[ckey] = bundle.add_vertex(
-                VertexKind.CHARACTER, CHARACTER_TYPE_LABEL, rec.character_name, vertex_id=rec.character_id
+    # the bundle is new and no record carries a relation id, so ids counted
+    # up from r000001 never meet a taken one
+    for character_name, entity_name, entity_type, relation_type, start, end, character_id in records:
+        characters, ckey = (by_id, character_id) if character_id else (by_name, character_name)
+        character = characters.get(ckey)
+        if character is None:
+            character = characters[ckey] = bundle.add_vertex(
+                VertexKind.CHARACTER, CHARACTER_TYPE_LABEL, character_name, vertex_id=character_id
             )
-        ekey = (rec.entity_name, rec.entity_type)
-        if ekey not in entities:
-            entities[ekey] = bundle.add_vertex(VertexKind.ENTITY, rec.entity_type, rec.entity_name)
-        span = (rec.start, rec.end)
-        interval = intervals.get(span)
+        ekey = (entity_name, entity_type)
+        entity = entities.get(ekey)
+        if entity is None:
+            entity = entities[ekey] = bundle.add_vertex(VertexKind.ENTITY, entity_type, entity_name)
+        interval = intervals.get((start, end))
         if interval is None:
-            interval = intervals[span] = TimeInterval(rec.start, rec.end)
-        bundle.add_edge(characters[ckey], entities[ekey], rec.relation_type, interval)
+            interval = intervals[start, end] = TimeInterval(start, end)
+        network = subnetworks.get(relation_type)
+        if network is None:
+            bundle.declare_relation_type(relation_type)
+            network = subnetworks[relation_type]
+        relation_id = f"r{len(relation_ids) + 1:06d}"
+        relation_ids.add(relation_id)
+        edge = TemporalEdge(relation_id, character, entity, relation_type, interval)
+        network._edges.append(edge)
+        network._by_character.setdefault(character, []).append(edge)
+    bundle._next_relation = len(relation_ids) + 1
     return bundle.seal()
+
+
+def _span(start: str, end: str) -> tuple[int, int] | str:
+    """The bounds of a row's `start` and `end` fields, or why they are rejected."""
+    try:
+        bounds = (int(start), int(end))
+    except ValueError:
+        return "start/end are not integers"
+    if bounds[0] < 0 or bounds[1] < 0:
+        return "negative time point"
+    if bounds[1] < bounds[0]:
+        return "inverted interval"
+    return bounds
 
 
 def _validated_records(
     reader: Iterator[list[str]], manifest: DatasetManifest, strict: bool, report: LoadReport
-) -> Iterator[TransactionRecord]:
-    """Yield each valid row as a record, counting and rejecting rows in `report`."""
-    declared_relations = set(manifest.relation_types)
+) -> Iterator[tuple]:
+    """Yield each valid row as a tuple in `TransactionRecord` field order, rejecting rows in `report`.
+
+    A row's first failed check names it: field count, empty name, bounds, undeclared relation type.
+    """
+    width = len(RECORDS_HEADER)
+    declared_relations = set(manifest.relation_types) if strict else set()
     # declared plus discovered; the report lists keep first-seen order
-    known_relations = set(declared_relations)
+    known_relations = set(manifest.relation_types)
     known_entities = set(manifest.entity_types)
+    # the field text of each distinct (start, end) pair -> its `_span`
+    spans: dict[tuple[str, str], tuple[int, int] | str] = {}
     for row in reader:
         if not row:
             continue  # a blank line is no row
-        # the file line the row ends on, so skipped blank lines are counted
-        line = reader.line_num
         report.total_rows += 1
-        try:
-            rec = _parse_row(row, line)
-            if strict and declared_relations and rec.relation_type not in declared_relations:
-                raise IngestError(f"line {line}: undeclared relation type {rec.relation_type!r}")
-        except IngestError as exc:
-            if strict:
-                raise
-            # the header's fields: a short row is padded, extra fields are dropped
-            raw = ",".join((row + [""] * len(RECORDS_HEADER))[: len(RECORDS_HEADER)])
-            report.rejected.append(RejectedRow(line, str(exc).split(": ", 1)[-1], raw))
-            continue
-        report.loaded_rows += 1
-        if rec.relation_type not in known_relations:
-            known_relations.add(rec.relation_type)
-            report.discovered_relation_types.append(rec.relation_type)
-        if rec.entity_type not in known_entities:
-            known_entities.add(rec.entity_type)
-            report.discovered_entity_types.append(rec.entity_type)
-        yield rec
+        if len(row) < width:
+            reason = f"expected {width} fields, got {len(row)}"
+        else:
+            names = (row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip())
+            entity_type, relation_type = names[2:]
+            bounds = spans.get((row[5], row[6]))
+            if bounds is None:
+                bounds = spans[row[5], row[6]] = _span(row[5], row[6])
+            if not all(names):
+                reason = f"empty {RECORDS_HEADER[1 + names.index('')]}"
+            elif type(bounds) is str:
+                reason = bounds
+            elif declared_relations and relation_type not in declared_relations:
+                reason = f"undeclared relation type {relation_type!r}"
+            else:
+                report.loaded_rows += 1
+                if relation_type not in known_relations:
+                    known_relations.add(relation_type)
+                    report.discovered_relation_types.append(relation_type)
+                if entity_type not in known_entities:
+                    known_entities.add(entity_type)
+                    report.discovered_entity_types.append(entity_type)
+                yield (*names, *bounds, row[0].strip() or None)
+                continue
+        # the file line the row ends on, so skipped blank lines are counted
+        if strict:
+            raise IngestError(f"line {reader.line_num}: {reason}")
+        # the header's fields: a short row is padded, extra fields are dropped
+        raw = ",".join((row + [""] * width)[:width])
+        report.rejected.append(RejectedRow(reader.line_num, reason, raw))
 
 
 def load(

@@ -263,3 +263,21 @@ def test_ingest_skips_generated_ids_an_explicit_id_took(tmp_path, rows, characte
     assert sorted(v for v, kind in kinds.items() if kind == "character") == characters
     assert len(kinds) == len(characters) + 1
     assert len(graph["edges"]) == len(rows)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[]", "a manifest must be a JSON object"),
+        ('{"relation_types": "wrote"}', "`relation_types` must be a list of non-empty strings"),
+        ('{"relation_types": ["wrote", 5]}', "`relation_types` must be a list of non-empty strings"),
+    ],
+    ids=["list", "string of types", "integer type"],
+)
+def test_malformed_manifest_exits_one_with_one_error_line(tmp_path, caplog, document, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(document, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("ingest", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("ERROR", f"{manifest.resolve()}: {message}")]
+    assert not out.exists()

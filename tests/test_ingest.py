@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import random
 
 import pytest
 
-from tapmerge import NetworkBundle, VertexKind, export, load
+from tapmerge import DatasetManifest, NetworkBundle, TransactionRecord, VertexKind, export, load, load_records
 from tapmerge.cli import main
-from tapmerge.graph import DuplicateIdError
+from tapmerge.graph import DuplicateIdError, TimeInterval
 from tapmerge.ingest import RECORDS_HEADER, IngestError
+from tapmerge.testkit import RandomBundleSpec, generate
 
 from conftest import SCHOLARS_MANIFEST
 
@@ -354,3 +356,192 @@ def test_edges_round_trip_unchanged(tmp_path, scholars_bundle):
         assert row["entity"] == edge.entity
         assert row["relation_type"] == edge.relation_type
         assert (row["start"], row["end"]) == (edge.interval.start, edge.interval.end)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[]", "a manifest must be a JSON object"),
+        ('"wrote"', "a manifest must be a JSON object"),
+        ('{"relation_types": "wrote"}', "`relation_types` must be a list of non-empty strings"),
+        ('{"relation_types": ["wrote", 5]}', "`relation_types` must be a list of non-empty strings"),
+        ('{"relation_types": ["wrote", ""]}', "`relation_types` must be a list of non-empty strings"),
+        ('{"entity_types": {"paper": 1}}', "`entity_types` must be a list of non-empty strings"),
+        ('{"entity_types": [null]}', "`entity_types` must be a list of non-empty strings"),
+    ],
+    ids=["list", "string", "string of types", "integer type", "empty type", "object of types", "null type"],
+)
+def test_malformed_manifest_is_an_ingest_error(tmp_path, document, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(document, encoding="utf-8")
+    with pytest.raises(IngestError) as raised:
+        load(write_csv(tmp_path, [",A,Uni,institution,study,2001,2002"]), path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+# one bad row each; under strict the manifest declares study/work/research/coauthor
+ROW_REJECTIONS = [
+    (",,Uni,institution,study,2001,2002", "empty character_name"),
+    (",A,,institution,study,2001,2002", "empty entity_name"),
+    (",A,Uni, ,study,2001,2002", "empty entity_type"),
+    (",A,Uni,institution,,2001,2002", "empty relation_type"),
+    (",A,Uni,institution,study,20O1,2002", "start/end are not integers"),
+    (",A,Uni,institution,study,2001,", "start/end are not integers"),
+    (",A,Uni,institution,study,-1,2002", "negative time point"),
+    (",A,Uni,institution,study,2005,2001", "inverted interval"),
+    # two failed checks: the earlier one names the row
+    (",,,institution,study,2001,2002", "empty character_name"),
+    (",A,Uni,institution,,x,y", "empty relation_type"),
+    (",A,Uni,institution,study,x,-1", "start/end are not integers"),
+    (",A,Uni,institution,study,-1,-5", "negative time point"),
+    (",A,Uni,institution,sabbatical,2005,2001", "inverted interval"),
+]
+
+
+@pytest.mark.parametrize("row, reason", ROW_REJECTIONS, ids=[row for row, _ in ROW_REJECTIONS])
+def test_each_row_rejection_reason(tmp_path, row, reason):
+    path = write_csv(tmp_path, [row])
+    bundle, report = load(path, SCHOLARS_MANIFEST)
+    assert [(r.line, r.reason, r.raw) for r in report.rejected] == [(2, reason, row)]
+    assert (report.total_rows, report.loaded_rows, bundle.edge_count) == (1, 0, 0)
+    with pytest.raises(IngestError) as raised:
+        load(path, SCHOLARS_MANIFEST, strict=True)
+    assert str(raised.value) == f"line 2: {reason}"
+
+
+def test_row_rejections_in_one_file(tmp_path):
+    rows = [
+        ",A,Uni,institution,study,2005,2001",
+        ",A,Uni,institution,study, 2000 ,2001",
+        ",B,Uni,institution,study,2005,2001",
+        ",B,Lab,institution,work,+5,6",
+        ",C,Uni,institution,study,20O1,2002",
+        ",C,Uni,institution,sabbatical,2001,2002",
+        ",D,Uni,institution,study,20O1,2002",
+    ]
+    path = write_csv(tmp_path, rows)
+    bundle, report = load(path, SCHOLARS_MANIFEST)
+    # the same bad (start, end) text is rejected every time it appears
+    assert [(r.line, r.reason, r.raw) for r in report.rejected] == [
+        (2, "inverted interval", rows[0]),
+        (4, "inverted interval", rows[2]),
+        (6, "start/end are not integers", rows[4]),
+        (8, "start/end are not integers", rows[6]),
+    ]
+    assert (report.total_rows, report.loaded_rows) == (7, 3)
+    assert report.discovered_relation_types == ["sabbatical"]
+    # int() accepts surrounding blanks and a plus sign
+    assert sorted((e.interval.start, e.interval.end) for e in bundle.edges()) == [(5, 6), (2000, 2001), (2001, 2002)]
+    with pytest.raises(IngestError) as raised:
+        load(write_csv(tmp_path, [rows[1], rows[3], rows[5]]), SCHOLARS_MANIFEST, strict=True)
+    assert str(raised.value) == "line 4: undeclared relation type 'sabbatical'"
+
+
+# -- the trusted build path of `load_records` against `add_edge` -----------
+
+
+def reference_load_records(records, manifest=None) -> NetworkBundle:
+    """A bundle built through the checked public API, one `add_vertex`/`add_edge` per record."""
+    bundle = NetworkBundle()
+    for relation_type in (manifest or DatasetManifest()).relation_types:
+        bundle.declare_relation_type(relation_type)
+    by_id, by_name, entities = {}, {}, {}
+    for rec in records:
+        characters, key = (by_id, rec.character_id) if rec.character_id else (by_name, rec.character_name)
+        if key not in characters:
+            characters[key] = bundle.add_vertex(
+                VertexKind.CHARACTER, "person", rec.character_name, vertex_id=rec.character_id
+            )
+        if (rec.entity_name, rec.entity_type) not in entities:
+            entities[rec.entity_name, rec.entity_type] = bundle.add_vertex(
+                VertexKind.ENTITY, rec.entity_type, rec.entity_name
+            )
+        bundle.add_edge(
+            characters[key], entities[rec.entity_name, rec.entity_type], rec.relation_type,
+            TimeInterval(rec.start, rec.end),
+        )
+    return bundle.seal()
+
+
+def assert_same_bundle(actual: NetworkBundle, expected: NetworkBundle) -> None:
+    assert actual.sealed and expected.sealed
+    assert actual.vertices() == expected.vertices()
+    assert actual.relation_types() == expected.relation_types()
+    for relation_type in expected.relation_types():
+        tan, reference = actual.subnetwork(relation_type), expected.subnetwork(relation_type)
+        assert list(tan.edges()) == list(reference.edges())
+        for character in expected.character_ids():
+            assert tan.edges_of_character(character) == reference.edges_of_character(character)
+    assert actual._relation_ids == expected._relation_ids
+    assert actual._next_relation == expected._next_relation
+    assert actual.content_digest() == expected.content_digest()
+
+
+def generated_records(seed: int) -> list[TransactionRecord]:
+    """The edges of a `testkit` bundle as records; every third character keeps its id."""
+    bundle = generate(RandomBundleSpec(characters=60, entities_per_type=8, relation_types=3, seed=seed))
+    records = []
+    for edge in bundle.edges():
+        character, entity = bundle.vertex(edge.character), bundle.vertex(edge.entity)
+        explicit = f"id-{character.id}" if int(character.id[1:]) % 3 == 0 else None
+        records.append(
+            TransactionRecord(
+                character.display_name, entity.display_name, entity.type_label, edge.relation_type,
+                edge.interval.start, edge.interval.end, explicit,
+            )
+        )
+    random.Random(seed).shuffle(records)
+    return records
+
+
+HAND_MADE_RECORDS = {
+    "parallel edges": [
+        TransactionRecord("A", "Uni", "institution", "study", 2001, 2002),
+        TransactionRecord("A", "Uni", "institution", "study", 2001, 2002),
+        TransactionRecord("A", "Uni", "institution", "work", 2001, 2002),
+        TransactionRecord("B", "Uni", "institution", "study", 2001, 2002),
+        TransactionRecord("A", "Uni", "institution", "study", 2003, 2004),
+    ],
+    "undeclared relation types": [
+        TransactionRecord("A", "Uni", "institution", "sabbatical", 2001, 2002),
+        TransactionRecord("B", "Lab", "lab", "work", 2001, 2002),
+        TransactionRecord("A", "Lab", "lab", "visit", 2003, 2003),
+    ],
+    "explicit c000001 before a blank id": [
+        TransactionRecord("A", "Uni", "institution", "study", 2001, 2002, "c000001"),
+        TransactionRecord("B", "Uni", "institution", "study", 2003, 2004),
+        TransactionRecord("c000001", "Lab", "lab", "work", 2003, 2004),
+    ],
+    "lone e000001": [TransactionRecord("A", "Uni", "institution", "study", 2001, 2002, "e000001")],
+    "no records": [],
+}
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("manifest", [None, DatasetManifest(["work", "study", "coauthor"], ["lab"])], ids=["no manifest", "manifest"])
+@pytest.mark.parametrize("case", ["testkit seed 1", "testkit seed 2", *HAND_MADE_RECORDS])
+def test_load_records_equals_a_bundle_built_by_add_edge(case, manifest, as_generator):
+    records = generated_records(int(case[-1])) if case.startswith("testkit") else HAND_MADE_RECORDS[case]
+    expected = reference_load_records(records, manifest)
+    actual = load_records((rec for rec in records) if as_generator else records, manifest)
+    assert_same_bundle(actual, expected)
+
+
+MISUSED_RECORDS = {
+    "empty relation type": TransactionRecord("A", "Uni", "institution", "", 2001, 2002),
+    "empty entity type": TransactionRecord("A", "Uni", "", "", 2001, 2002),
+    "inverted span": TransactionRecord("A", "Uni", "institution", "", 2005, 2001),
+    "negative span": TransactionRecord("A", "Uni", "institution", "study", -1, 2001),
+    "non-integer span": TransactionRecord("A", "Uni", "institution", "study", "2001", 2002),
+    "explicit id of an entity": TransactionRecord("B", "Uni", "institution", "study", 2001, 2002, "e000001"),
+}
+
+
+@pytest.mark.parametrize("case", MISUSED_RECORDS)
+def test_load_records_misuse_fails_as_add_edge_does(case):
+    records = [TransactionRecord("P", "Uni", "institution", "study", 2001, 2002, "p1"), MISUSED_RECORDS[case]]
+    with pytest.raises(Exception) as reference:
+        reference_load_records(records)
+    with pytest.raises(Exception) as raised:
+        load_records(records)
+    assert (type(raised.value), str(raised.value)) == (type(reference.value), str(reference.value))

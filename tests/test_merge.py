@@ -185,6 +185,26 @@ def test_verification_reports_every_kind_of_corruption(scholars_bundle, scholar_
         assert kind in reported, f"{kind} not reported; got {sorted(reported)}"
 
 
+def test_verification_reports_each_dangling_edge_in_edge_order(scholars_bundle, scholar_ids):
+    # no public path builds an edge whose endpoint is missing, so the edges
+    # go straight into the lists of a rebuilt copy of the merged bundle
+    faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
+    plan = plan_merge(scholars_bundle, [[faye, fei]])
+    merged = apply_merge(scholars_bundle, plan).bundle
+    corrupted = rebuild(merged.vertices(), merged.edges(), merged.relation_types())
+    study, work = corrupted.subnetwork("study"), corrupted.subnetwork("work")
+    entity, span = study._edges[0].entity, study._edges[0].interval
+    work._edges.insert(0, TemporalEdge("lost-character", "ghost", entity, "work", span))
+    study._edges.insert(1, TemporalEdge("lost-entity", plan.groups[0].representative, "nowhere", "study", span))
+    study._edges.append(TemporalEdge("lost-both", "ghost", "nowhere", "study", span))
+    report = verify_merge(scholars_bundle, corrupted, plan)
+    assert [(v.kind, v.detail) for v in report.violations] == [
+        ("dangling endpoint", "edge lost-entity references a missing vertex"),
+        ("dangling endpoint", "edge lost-both references a missing vertex"),
+        ("dangling endpoint", "edge lost-character references a missing vertex"),
+    ]
+
+
 def test_verification_reports_a_transfer_of_another_characters_edge(scholars_bundle, scholar_ids):
     faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
     plan = plan_merge(scholars_bundle, [[faye, fei]])
