@@ -100,7 +100,7 @@ def cmd_simtap(args: argparse.Namespace) -> int:
             raise ValueError("--pair wants exactly two comma-separated ids or names")
         pairs = [(_resolve_pair_token(bundle, tokens[0].strip()), _resolve_pair_token(bundle, tokens[1].strip()))]
     else:
-        pairs = screen_candidates(bundle, NameFilter(args.name_filter)).pair_ids()
+        pairs = screen_candidates(bundle, NameFilter(args.name_filter)).ids
     results = similarity_for_pairs(bundle, pairs, now)
     write_similarity_csv(bundle, results, args.out / "similarity.csv")
     log.info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, len(results.table))
@@ -115,7 +115,7 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     candidates = screen_candidates(bundle, NameFilter(args.name_filter))
     write_candidates_csv(bundle, candidates, out / "candidates.csv")
 
-    results = similarity_for_pairs(bundle, candidates.pair_ids(), now)
+    results = similarity_for_pairs(bundle, candidates.ids, now)
     write_similarity_csv(bundle, results, out / "similarity.csv")
 
     groups = group_by_threshold(results, args.theta, now)

@@ -151,6 +151,7 @@ class NetworkBundle:
         self._vertices: dict[str, Vertex] = {}
         # relation type -> subnetwork, in declaration / first-seen order
         self._subnetworks: dict[str, TemporalActivityNetwork] = {}
+        # relation ids in use, for `_register`'s checks; empty once sealed
         self._relation_ids: set[str] = set()
         self._sealed = False
         self._digest: str | None = None
@@ -244,12 +245,14 @@ class NetworkBundle:
 
     def seal(self) -> "NetworkBundle":
         self._sealed = True
+        self._relation_ids.clear()
         return self
 
-    def derive(self, absorbed: dict[str, str], dropped: set[str]) -> "NetworkBundle":
+    def _derive(self, absorbed: dict[str, str], dropped: set[str]) -> "NetworkBundle":
         """A sealed bundle without the `absorbed` characters, sharing all they do not touch.
 
-        `absorbed` maps each removed character to its representative. An
+        `absorbed` maps each removed character to its representative, a
+        character not itself absorbed, as :func:`apply_merge` checks. An
         edge of an absorbed character is left out when its relation id is
         in `dropped`, and otherwise re-filed under the representative at
         the same position. The result equals what :func:`rebuild` gives
@@ -260,20 +263,10 @@ class NetworkBundle:
         """
         if not self._sealed:
             raise GraphError("derive from an unsealed bundle; seal it first")
-        for character in absorbed:
-            if self.vertex(character).kind is not VertexKind.CHARACTER:
-                raise VertexKindError(f"{character!r} is not a character vertex")
-        for representative in dict.fromkeys(absorbed.values()):
-            if representative in absorbed:
-                raise GraphError(f"representative {representative!r} is itself absorbed")
-            if self.vertex(representative).kind is not VertexKind.CHARACTER:
-                raise VertexKindError(f"{representative!r} is not a character vertex")
-
         derived = NetworkBundle()
         derived._vertices = self._vertices.copy()
         for character in absorbed:
             del derived._vertices[character]
-        derived._relation_ids = self._relation_ids.copy()
         for relation_type, tan in self._subnetworks.items():
             present = [character for character in absorbed if character in tan._by_character]
             if not present:
@@ -290,7 +283,6 @@ class NetworkBundle:
                 representative = absorbed.get(character)
                 if representative is not None:
                     if edge.relation_id in dropped:
-                        derived._relation_ids.discard(edge.relation_id)
                         continue
                     edge = TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
                     character = representative
@@ -307,8 +299,8 @@ class NetworkBundle:
         """Characters whose edge list in some subnetwork differs from their list in `other`.
 
         Subnetworks the two bundles share are skipped, and a shared or
-        equal list counts as unchanged, so against a bundle from
-        :meth:`derive` this costs one lookup per character of each
+        equal list counts as unchanged, so against a merged bundle from
+        :func:`apply_merge` this costs one lookup per character of each
         subnetwork the merge touched.
         """
         changed: set[str] = set()

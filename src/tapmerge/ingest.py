@@ -69,7 +69,10 @@ class DatasetManifest:
         for key, labels in vocabularies.items():
             if not isinstance(labels, list) or not all(isinstance(label, str) and label for label in labels):
                 raise IngestError(f"{path}: `{key}` must be a list of non-empty strings")
-        return cls(**vocabularies)
+        try:
+            return cls(**vocabularies)
+        except IngestError as exc:
+            raise IngestError(f"{path}: {exc}") from None
 
     def to_json(self, path: str | Path) -> None:
         doc = {
@@ -117,16 +120,17 @@ def load_records(
     bundle = NetworkBundle()
     for beta in manifest.relation_types:
         bundle.declare_relation_type(beta)
-    subnetworks, relation_ids = bundle._subnetworks, bundle._relation_ids
+    subnetworks = bundle._subnetworks
     # explicit ids and blank-id names are separate kinds of key
     by_id: dict[str, str] = {}
     by_name: dict[str, str] = {}
     entities: dict[tuple[str, str], str] = {}
     # one frozen interval object per distinct (start, end), shared by its edges
     intervals: dict[tuple[int, int], TimeInterval] = {}
-    # the bundle is new and no record carries a relation id, so ids counted
-    # up from r000001 never meet a taken one
-    for character_name, entity_name, entity_type, relation_type, start, end, character_id in records:
+    # the bundle is new and no record carries a relation id, so the record
+    # numbers r000001, r000002, ... never meet a taken id
+    for number, record in enumerate(records, 1):
+        character_name, entity_name, entity_type, relation_type, start, end, character_id = record
         characters, ckey = (by_id, character_id) if character_id else (by_name, character_name)
         character = characters.get(ckey)
         if character is None:
@@ -144,12 +148,9 @@ def load_records(
         if network is None:
             bundle.declare_relation_type(relation_type)
             network = subnetworks[relation_type]
-        relation_id = f"r{len(relation_ids) + 1:06d}"
-        relation_ids.add(relation_id)
-        edge = TemporalEdge(relation_id, character, entity, relation_type, interval)
+        edge = TemporalEdge(f"r{number:06d}", character, entity, relation_type, interval)
         network._edges.append(edge)
         network._by_character.setdefault(character, []).append(edge)
-    bundle._next_relation = len(relation_ids) + 1
     return bundle.seal()
 
 
@@ -175,9 +176,6 @@ def _validated_records(
     """
     width = len(RECORDS_HEADER)
     declared_relations = set(manifest.relation_types) if strict else set()
-    # declared plus discovered; the report lists keep first-seen order
-    known_relations = set(manifest.relation_types)
-    known_entities = set(manifest.entity_types)
     # the field text of each distinct (start, end) pair -> its `_span`
     spans: dict[tuple[str, str], tuple[int, int] | str] = {}
     for row in reader:
@@ -188,7 +186,6 @@ def _validated_records(
             reason = f"expected {width} fields, got {len(row)}"
         else:
             names = (row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip())
-            entity_type, relation_type = names[2:]
             bounds = spans.get((row[5], row[6]))
             if bounds is None:
                 bounds = spans[row[5], row[6]] = _span(row[5], row[6])
@@ -196,16 +193,10 @@ def _validated_records(
                 reason = f"empty {RECORDS_HEADER[1 + names.index('')]}"
             elif type(bounds) is str:
                 reason = bounds
-            elif declared_relations and relation_type not in declared_relations:
-                reason = f"undeclared relation type {relation_type!r}"
+            elif declared_relations and names[3] not in declared_relations:
+                reason = f"undeclared relation type {names[3]!r}"
             else:
                 report.loaded_rows += 1
-                if relation_type not in known_relations:
-                    known_relations.add(relation_type)
-                    report.discovered_relation_types.append(relation_type)
-                if entity_type not in known_entities:
-                    known_entities.add(entity_type)
-                    report.discovered_entity_types.append(entity_type)
                 yield (*names, *bounds, row[0].strip() or None)
                 continue
         # the file line the row ends on, so skipped blank lines are counted
@@ -237,6 +228,12 @@ def load(
         if header is not None and header != RECORDS_HEADER:
             raise IngestError(f"unexpected header {header}; expected {','.join(RECORDS_HEADER)}")
         bundle = load_records(_validated_records(reader, manifest, strict, report), manifest)
+    # the bundle holds the types of loaded rows only, each kind in first-seen order
+    declared_relations, declared_entities = set(manifest.relation_types), set(manifest.entity_types)
+    report.discovered_relation_types = [t for t in bundle.relation_types() if t not in declared_relations]
+    report.discovered_entity_types = list(
+        dict.fromkeys(v.type_label for v in bundle.vertices(VertexKind.ENTITY) if v.type_label not in declared_entities)
+    )
     return bundle, report
 
 

@@ -152,14 +152,22 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
     return MergePlan(groups=plans, source=bundle)
 
 
+def _require_character(bundle: NetworkBundle, vertex_id: str, role: str) -> None:
+    """Fail unless the plan member `vertex_id`, named by `role` when missing, is a character of `bundle`."""
+    if not bundle.has_vertex(vertex_id):
+        raise StalePlanError(f"{role} {vertex_id!r} missing from bundle")
+    if bundle.vertex(vertex_id).kind is not VertexKind.CHARACTER:
+        raise MergeError(f"cannot merge non-character vertex {vertex_id!r}")
+
+
 def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     """Produce the corrected bundle with every absorbed vertex removed.
 
-    Only the group members' edges are visited: the result shares every
-    subnetwork, edge list and edge that no absorbed vertex touches with
-    `bundle` (:meth:`NetworkBundle.derive`). The content digests are
-    compared, and so computed, only when `bundle` is not the bundle the
-    plan was built on.
+    Every group member must be a character of `bundle`. Only the group
+    members' edges are visited: the result shares every subnetwork, edge
+    list and edge that no absorbed vertex touches with `bundle`. The
+    content digests are compared, and so computed, only when `bundle` is
+    not the bundle the plan was built on.
     """
     if bundle is not plan.source and bundle.content_digest() != plan.source.content_digest():
         raise StalePlanError("plan was computed against a different bundle")
@@ -168,11 +176,9 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     dropped: set[str] = set()
     transferred = 0
     for group in plan.groups:
-        if not bundle.has_vertex(group.representative):
-            raise StalePlanError(f"representative {group.representative!r} missing from bundle")
+        _require_character(bundle, group.representative, "representative")
         for duplicate in group.absorbed:
-            if not bundle.has_vertex(duplicate):
-                raise StalePlanError(f"absorbed vertex {duplicate!r} missing from bundle")
+            _require_character(bundle, duplicate, "absorbed vertex")
             if duplicate in mapping:
                 raise MergeError(f"vertex {duplicate!r} appears in more than one group")
             mapping[duplicate] = group.representative
@@ -196,7 +202,7 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
         transferred_edges=transferred,
         mapping=mapping,
     )
-    return MergedNetwork(bundle=bundle.derive(mapping, dropped), audit=audit)
+    return MergedNetwork(bundle=bundle._derive(mapping, dropped), audit=audit)
 
 
 def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequence[str]) -> dict[str, set]:

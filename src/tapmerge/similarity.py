@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,13 +76,12 @@ class SimilarityResult(NamedTuple):
 class PairScores(Sequence[SimilarityResult]):
     """Similarity for a list of pairs, stored once per pair of weight-vector classes.
 
-    `pairs[i]` has the scores and aggregate of `table[index[i]]`. Read as
+    `pairs[i]` has the scores and aggregate of `table[rows[i]]`. Read as
     a sequence, it builds each pair's `SimilarityResult` on demand.
     """
 
     pairs: Sequence[tuple[str, str]]
-    # `field()` stops the inherited `Sequence.index` being read as a default
-    index: list[int] = field()
+    rows: list[int]
     table: list[tuple[tuple[float, ...], float]]
 
     def __len__(self) -> int:
@@ -90,10 +89,10 @@ class PairScores(Sequence[SimilarityResult]):
 
     def __getitem__(self, i: int) -> SimilarityResult:
         x, y = self.pairs[i]
-        return SimilarityResult(x, y, *self.table[self.index[i]])
+        return SimilarityResult(x, y, *self.table[self.rows[i]])
 
     def __iter__(self) -> Iterator[SimilarityResult]:
-        for (x, y), row in zip(self.pairs, self.index):
+        for (x, y), row in zip(self.pairs, self.rows):
             yield SimilarityResult(x, y, *self.table[row])
 
 
@@ -238,7 +237,7 @@ def similarity_for_pairs(
 
     classes = len(profiles)
     row_of: dict[int, int] = {}
-    index, table = [], []
+    rows, table = [], []
     for x, y in pairs:
         a, b = class_of[x], class_of[y]
         row = row_of.get(a * classes + b)
@@ -250,8 +249,8 @@ def similarity_for_pairs(
                 for (vec_a, w_aa), (vec_b, w_bb) in zip(profiles[a], profiles[b])
             ])
             table.append((scores, combine_subnetwork_scores(scores)))
-        index.append(row)
-    return PairScores(pairs, index, table)
+        rows.append(row)
+    return PairScores(pairs, rows, table)
 
 
 def group_by_threshold(results: PairScores, theta: float, now: int) -> RedundantGroupSet:
@@ -261,7 +260,7 @@ def group_by_threshold(results: PairScores, theta: float, now: int) -> Redundant
     dsu = UnionFind()
     confirmed = [aggregate >= theta for _, aggregate in results.table]
     if any(confirmed):
-        for (x, y), row in zip(results.pairs, results.index):
+        for (x, y), row in zip(results.pairs, results.rows):
             if confirmed[row]:
                 dsu.union(x, y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
@@ -271,7 +270,7 @@ def threshold_groups(
     candidates: CandidateSet, bundle: NetworkBundle, theta: float, now: int
 ) -> RedundantGroupSet:
     """Confirmed duplicate groups among screened candidate pairs."""
-    return group_by_threshold(similarity_for_pairs(bundle, candidates.pair_ids(), now), theta, now)
+    return group_by_threshold(similarity_for_pairs(bundle, candidates.ids, now), theta, now)
 
 
 # -- reports -----------------------------------------------------------------
@@ -283,10 +282,10 @@ def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str |
     Each class-pair row's score columns are rendered once.
     """
     fields, fixed = character_fields(bundle), fixed4()
-    rows = [",".join([*[fixed[s] for s in scores], fixed[aggregate]]) for scores, aggregate in results.table]
+    cols = [",".join([*[fixed[s] for s in scores], fixed[aggregate]]) for scores, aggregate in results.table]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
-        fh.writelines(f"{fields[x]},{fields[y]},{rows[row]}\r\n" for (x, y), row in zip(results.pairs, results.index))
+        fh.writelines(f"{fields[x]},{fields[y]},{cols[row]}\r\n" for (x, y), row in zip(results.pairs, results.rows))
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

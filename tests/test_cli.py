@@ -271,8 +271,9 @@ def test_ingest_skips_generated_ids_an_explicit_id_took(tmp_path, rows, characte
         ("[]", "a manifest must be a JSON object"),
         ('{"relation_types": "wrote"}', "`relation_types` must be a list of non-empty strings"),
         ('{"relation_types": ["wrote", 5]}', "`relation_types` must be a list of non-empty strings"),
+        ('{"relation_types": ["a", "a"]}', "manifest declares duplicate relation types"),
     ],
-    ids=["list", "string of types", "integer type"],
+    ids=["list", "string of types", "integer type", "duplicate type"],
 )
 def test_malformed_manifest_exits_one_with_one_error_line(tmp_path, caplog, document, message):
     manifest = tmp_path / "manifest.json"

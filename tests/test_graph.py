@@ -9,7 +9,18 @@ from dataclasses import replace
 
 import pytest
 
-from tapmerge import NetworkBundle, TimeInterval, VertexKind, apply_merge, load, plan_merge, project_one_mode, rebuild
+from tapmerge import (
+    NetworkBundle,
+    TimeInterval,
+    TransactionRecord,
+    VertexKind,
+    apply_merge,
+    load,
+    load_records,
+    plan_merge,
+    project_one_mode,
+    rebuild,
+)
 from tapmerge.graph import (
     DuplicateIdError,
     GraphError,
@@ -187,6 +198,29 @@ def test_duplicate_relation_id_under_another_relation_type_rejected(club):
     clash = replace(edge, relation_type="other")
     with pytest.raises(DuplicateIdError):
         rebuild(club.bundle.vertices(), [edge, clash], club.bundle.relation_types())
+
+
+def test_relation_id_index_lives_only_while_the_bundle_is_open(club, scholars_bundle, scholar_ids):
+    bundle = person_and_entity()
+    assert bundle.add_edge("c1", "e1", "study", (2000, 2001), relation_id="r000002") == "r000002"
+    assert bundle.add_edge("c1", "e1", "study", (2000, 2001)) == "r000001"
+    assert bundle.add_edge("c1", "e1", "study", (2000, 2001)) == "r000003"
+    with pytest.raises(DuplicateIdError):
+        bundle.add_edge("c1", "e1", "work", (2000, 2001), relation_id="r000003")
+    assert bundle._relation_ids == {"r000001", "r000002", "r000003"}
+
+    plan = plan_merge(scholars_bundle, [[scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]]])
+    sealed = {
+        "seal": bundle.seal(),
+        "load": scholars_bundle,
+        "load_records": load_records([TransactionRecord("A", "Uni", "institution", "study", 2001, 2002)]),
+        "rebuild": rebuild(club.bundle.vertices(), club.bundle.edges(), club.bundle.relation_types()),
+        "generate": generate(RandomBundleSpec(characters=6, entities_per_type=2, relation_types=2, seed=1)),
+        "apply_merge": apply_merge(scholars_bundle, plan).bundle,
+    }
+    for source, sealed_bundle in sealed.items():
+        assert sealed_bundle.sealed and sealed_bundle.edge_count, source
+        assert sealed_bundle._relation_ids == set(), source
 
 
 def test_rebuild_rejects_unknown_and_wrong_kind_vertices(club):

@@ -113,6 +113,45 @@ def test_undeclared_relation_type_discovered_or_fatal(tmp_path):
         load(path, SCHOLARS_MANIFEST, strict=True)
 
 
+# new relation and entity types interleaved; the inverted rows are rejected, so the
+# `sail`/`vessel` row discovers nothing and `visit`/`lab` are discovered where they load
+DISCOVERY_ROWS = [
+    ",A,Uni,institution,study,2001,2002",
+    ",A,Ship,vessel,sail,2005,2001",
+    ",B,Lab,lab,visit,2009,2001",
+    ",B,P1,paper,coauthor,2003,2003",
+    ",C,Bob,person,mentor,2001,2002",
+    ",C,Lab,lab,work,2004,2005",
+    ",D,Uni,institution,visit,2006,2006",
+]
+
+
+@pytest.mark.parametrize(
+    "manifest, relation_types, entity_types",
+    [
+        (None, ["study", "coauthor", "mentor", "work", "visit"], ["institution", "paper", "person", "lab"]),
+        (
+            {"relation_types": ["work", "study"], "entity_types": ["lab", "institution"]},
+            ["coauthor", "mentor", "visit"], ["paper", "person"],
+        ),
+        (
+            {"relation_types": ["visit"], "entity_types": ["person", "paper"]},
+            ["study", "coauthor", "mentor", "work"], ["institution", "lab"],
+        ),
+    ],
+    ids=["no manifest", "manifest", "manifest declaring person"],
+)
+def test_discovered_types_are_the_undeclared_types_of_loaded_rows(tmp_path, manifest, relation_types, entity_types):
+    manifest_path = None
+    if manifest is not None:
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    _, report = load(write_csv(tmp_path, DISCOVERY_ROWS), manifest_path)
+    assert [r.line for r in report.rejected] == [3, 4]
+    assert report.discovered_relation_types == relation_types
+    assert report.discovered_entity_types == entity_types
+
+
 def test_wrong_header_is_fatal(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("name,entity\nA,B\n", encoding="utf-8")
@@ -368,8 +407,13 @@ def test_edges_round_trip_unchanged(tmp_path, scholars_bundle):
         ('{"relation_types": ["wrote", ""]}', "`relation_types` must be a list of non-empty strings"),
         ('{"entity_types": {"paper": 1}}', "`entity_types` must be a list of non-empty strings"),
         ('{"entity_types": [null]}', "`entity_types` must be a list of non-empty strings"),
+        ('{"relation_types": ["a", "b", "a"]}', "manifest declares duplicate relation types"),
+        ('{"entity_types": ["a", "a"]}', "manifest declares duplicate entity types"),
     ],
-    ids=["list", "string", "string of types", "integer type", "empty type", "object of types", "null type"],
+    ids=[
+        "list", "string", "string of types", "integer type", "empty type", "object of types", "null type",
+        "duplicate relation type", "duplicate entity type",
+    ],
 )
 def test_malformed_manifest_is_an_ingest_error(tmp_path, document, message):
     path = tmp_path / "manifest.json"
@@ -377,6 +421,15 @@ def test_malformed_manifest_is_an_ingest_error(tmp_path, document, message):
     with pytest.raises(IngestError) as raised:
         load(write_csv(tmp_path, [",A,Uni,institution,study,2001,2002"]), path)
     assert str(raised.value) == f"{path}: {message}"
+
+
+def test_a_manifest_built_in_code_rejects_duplicate_types():
+    with pytest.raises(IngestError) as raised:
+        DatasetManifest(["a", "a"])
+    assert str(raised.value) == "manifest declares duplicate relation types"
+    with pytest.raises(IngestError) as raised:
+        DatasetManifest(entity_types=["a", "a"])
+    assert str(raised.value) == "manifest declares duplicate entity types"
 
 
 # one bad row each; under strict the manifest declares study/work/research/coauthor
@@ -472,8 +525,6 @@ def assert_same_bundle(actual: NetworkBundle, expected: NetworkBundle) -> None:
         assert list(tan.edges()) == list(reference.edges())
         for character in expected.character_ids():
             assert tan.edges_of_character(character) == reference.edges_of_character(character)
-    assert actual._relation_ids == expected._relation_ids
-    assert actual._next_relation == expected._next_relation
     assert actual.content_digest() == expected.content_digest()
 
 

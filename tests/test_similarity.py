@@ -214,6 +214,15 @@ def test_worker_count_does_not_change_results(scholars_bundle):
     assert serial == parallel
 
 
+def test_pair_scores_support_the_sequence_index_and_count_methods(scholars_bundle):
+    ids = scholars_bundle.character_ids()
+    pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]]
+    results = similarity_for_pairs(scholars_bundle, [*pairs, pairs[0]], now=SCHOLAR_NOW)
+    assert [results.index(result) for result in results] == [*range(len(pairs)), 0]
+    assert results.count(results[0]) == 2
+    assert results.count(results[1]) == 1
+
+
 def test_similarity_csv_mirrors_declaration_order(tmp_path, scholars_bundle):
     candidates = screen_candidates(scholars_bundle)
     results = similarity_for_pairs(scholars_bundle, candidates.pair_ids(), now=SCHOLAR_NOW)
