@@ -100,7 +100,7 @@ def cmd_simtap(args: argparse.Namespace) -> int:
             raise ValueError("--pair wants exactly two comma-separated ids or names")
         pairs = [(_resolve_pair_token(bundle, tokens[0].strip()), _resolve_pair_token(bundle, tokens[1].strip()))]
     else:
-        pairs = screen_candidates(bundle, NameFilter(args.name_filter)).ids
+        pairs = screen_candidates(bundle, NameFilter(args.name_filter))
     results = similarity_for_pairs(bundle, pairs, now)
     write_similarity_csv(bundle, results, args.out / "similarity.csv")
     log.info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, len(results.table))
@@ -115,11 +115,14 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     candidates = screen_candidates(bundle, NameFilter(args.name_filter))
     write_candidates_csv(bundle, candidates, out / "candidates.csv")
 
-    results = similarity_for_pairs(bundle, candidates.ids, now)
+    results = similarity_for_pairs(bundle, candidates, now)
     write_similarity_csv(bundle, results, out / "similarity.csv")
 
     groups = group_by_threshold(results, args.theta, now)
     write_groups_json(groups, out / "groups.json")
+    # the scores hold every class's weight vectors, which the merge never reads
+    class_pairs = len(results.table)
+    del results
 
     plan = plan_merge(bundle, groups.groups)
     merged = apply_merge(bundle, plan)
@@ -154,7 +157,7 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     log.info(
         "dedupe: %d signature buckets (largest %d), %d candidates, %d class pairs scored, %d groups, "
         "removed %d vertices (dropped %d, transferred %d edges)",
-        candidates.bucket_count, candidates.largest_bucket, len(candidates), len(results.table), len(groups.groups),
+        candidates.bucket_count, candidates.largest_bucket, len(candidates), class_pairs, len(groups.groups),
         merged.audit.removed_vertices,
         merged.audit.dropped_edges, merged.audit.transferred_edges,
     )

@@ -13,6 +13,11 @@ Two characters with no edges at all score 1 (maximally dissimilar), not
 
 The zero test itself is integer-exact (2 * shared == degree_x +
 degree_y); floats only appear in the reported value.
+
+Screening keeps the signature buckets themselves, not their pairs: a
+bucket of n people holds n(n-1)/2 candidate pairs, so one popular paper
+shared by thousands of people would otherwise fill memory with pairs
+that the writers can generate again, in id order, from the buckets.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterator
 
 from .graph import GraphError, NetworkBundle, VertexKind
 
@@ -86,17 +91,41 @@ def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
 
 @dataclass
 class CandidateSet:
-    """Unordered character pairs with structure error zero, sorted by id."""
+    """Unordered character pairs with structure error zero, kept as their buckets.
 
-    ids: list[tuple[str, str]]
+    Each of `buckets` holds two or more characters in id order, and
+    every pair inside a bucket is a candidate, except that a pair whose
+    display names are equal in `names` is skipped; `names` is None
+    unless the different-name filter applies. Iterating yields the
+    pairs sorted by id, walking the buckets again each time; `count` is
+    their number. `bucket_count` and `largest_bucket` describe the
+    signature buckets before any name filter.
+    """
+
+    buckets: list[list[str]]
+    names: dict[str, str] | None
+    count: int
     bucket_count: int
     largest_bucket: int
 
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        # a character sits in one bucket, so its pairs are the members after
+        # it there; visiting the characters in id order sorts all pairs
+        where = {x: (members, i) for members in self.buckets for i, x in enumerate(members)}
+        return chain.from_iterable(self._pairs_from(x, *where[x]) for x in sorted(where))
+
+    def _pairs_from(self, x: str, members: list[str], i: int) -> Iterator[tuple[str, str]]:
+        later = members[i + 1 :]
+        if self.names is not None:
+            name = self.names[x]
+            later = [y for y in later if self.names[y] != name]
+        return zip(repeat(x), later)
+
     def pair_ids(self) -> list[tuple[str, str]]:
-        return list(self.ids)
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.count
 
 
 def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
@@ -121,14 +150,8 @@ def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
     return list(buckets.values())
 
 
-def _bucket_pairs(bundle: NetworkBundle, members: list[str], name_filter: NameFilter) -> Iterable[tuple[str, str]]:
-    """The bucket's pairs that pass the name filter, in id order."""
-    pairs = combinations(members, 2)
-    if name_filter is NameFilter.OFF:
-        return pairs
-    same = name_filter is NameFilter.SAME_NAME
-    names = {member: bundle.vertex(member).display_name for member in members}
-    return ((x, y) for x, y in pairs if (names[x] == names[y]) is same)
+def _pair_count(buckets: list[list[str]]) -> int:
+    return sum(len(members) * (len(members) - 1) // 2 for members in buckets)
 
 
 def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilter.OFF) -> CandidateSet:
@@ -138,32 +161,43 @@ def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilte
     in one pass over the edges; equal signatures coincide with the
     integer-exact zero test pair by pair, so each bucket contributes all
     of its internal pairs. Zero-degree characters never match (their
-    error is defined as 1).
+    error is defined as 1). The same-name filter splits each bucket
+    into same-name sub-buckets; the different-name filter keeps the
+    buckets and skips the pairs those sub-buckets hold.
     """
     if not bundle.sealed:
         raise GraphError("bundle must be sealed before screening")
-    buckets = _signature_buckets(bundle)
-    ids: list[tuple[str, str]] = []
-    for members in buckets:
-        if len(members) > 1:
-            ids.extend(_bucket_pairs(bundle, members, name_filter))
-    ids.sort()
-    return CandidateSet(ids, len(buckets), max(map(len, buckets), default=0))
+    signatures = _signature_buckets(bundle)
+    buckets = [members for members in signatures if len(members) > 1]
+    count, names = _pair_count(buckets), None
+    if name_filter is not NameFilter.OFF:
+        names = {member: bundle.vertex(member).display_name for members in buckets for member in members}
+        same_name = []
+        for members in buckets:
+            by_name: dict[str, list[str]] = {}
+            for member in members:
+                by_name.setdefault(names[member], []).append(member)
+            same_name.extend(sub for sub in by_name.values() if len(sub) > 1)
+        if name_filter is NameFilter.SAME_NAME:
+            buckets, count, names = same_name, _pair_count(same_name), None
+        else:
+            count -= _pair_count(same_name)
+    return CandidateSet(buckets, names, count, len(signatures), max(map(len, signatures), default=0))
 
 
 # -- CSV rendering shared by the candidate and similarity writers ------------
 
 
-class RenderCache(dict):
-    """`cache[key]` is `render(key)`, computed on first use and then kept."""
+class Memo(dict):
+    """`memo[key]` is `compute(key)`, computed on first use and then kept."""
 
-    def __init__(self, render: Callable[[Hashable], str]):
+    def __init__(self, compute: Callable[[Hashable], Any]):
         super().__init__()
-        self._render = render
+        self._compute = compute
 
-    def __missing__(self, key: Hashable) -> str:
-        text = self[key] = self._render(key)
-        return text
+    def __missing__(self, key: Hashable) -> Any:
+        value = self[key] = self._compute(key)
+        return value
 
 
 class _Echo:
@@ -174,7 +208,7 @@ class _Echo:
         return text
 
 
-def csv_fields(fields_of: Callable[[Hashable], tuple]) -> RenderCache:
+def csv_fields(fields_of: Callable[[Hashable], tuple]) -> Memo:
     """`cache[key]` is the CSV text of the fields `fields_of(key)`, without a line end.
 
     A default-dialect `csv.writer` renders them, and it quotes field by
@@ -184,21 +218,12 @@ def csv_fields(fields_of: Callable[[Hashable], tuple]) -> RenderCache:
     one exception is a lone empty field, which renders as `""`.
     """
     writerow = csv.writer(_Echo()).writerow
-    return RenderCache(lambda key: writerow(fields_of(key))[:-2])
+    return Memo(lambda key: writerow(fields_of(key))[:-2])
 
 
-def character_fields(bundle: NetworkBundle) -> RenderCache:
+def character_fields(bundle: NetworkBundle) -> Memo:
     """Each character's `id,name` CSV fields, rendered once, without a line end."""
     return csv_fields(lambda character: (character, bundle.vertex(character).display_name))
-
-
-def fixed4() -> RenderCache:
-    """Floats as `f"{value:.4f}"`, formatted once per distinct value.
-
-    Keys compare as floats, so `-0.0` would get the text of `0.0`; no
-    structure error or similarity score is negative.
-    """
-    return RenderCache("{:.4f}".format)
 
 
 def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: str | Path) -> None:
@@ -206,4 +231,4 @@ def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
         # equal signatures give 2*shared == degree_x + degree_y, so every error is exactly 0.0
-        fh.writelines(f"{fields[x]},{fields[y]},0.0000\r\n" for x, y in candidates.ids)
+        fh.writelines(f"{fields[x]},{fields[y]},0.0000\r\n" for x, y in candidates)

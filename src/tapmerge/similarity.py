@@ -22,6 +22,9 @@ vectors, so a batch puts characters with equal vectors in one class and
 scores each pair of classes once (`PairScores`). The candidates in
 one signature bucket share their structure, so a bucket of thousands of
 people around one popular entity has far fewer classes than pairs.
+`PairScores` keeps one row per class pair met and nothing per pair:
+the CSV writer and `group_by_threshold` walk the pairs again and look
+each one's row up by its two classes.
 
 All accumulation is exact integer arithmetic; the single final division
 is the only float operation, so results are bit-reproducible and do not
@@ -32,13 +35,15 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 from .graph import GraphError, NetworkBundle, TemporalActivityNetwork, TemporalEdge, VertexKind
-from .screening import CandidateSet, character_fields, fixed4
+from .screening import CandidateSet, Memo, character_fields
 from .unionfind import UnionFind
 
 
@@ -74,26 +79,57 @@ class SimilarityResult(NamedTuple):
 
 @dataclass
 class PairScores(Sequence[SimilarityResult]):
-    """Similarity for a list of pairs, stored once per pair of weight-vector classes.
+    """Similarity for some pairs, stored once per pair of weight-vector classes.
 
-    `pairs[i]` has the scores and aggregate of `table[rows[i]]`. Read as
-    a sequence, it builds each pair's `SimilarityResult` on demand.
+    `class_of` gives each character's class, and `profiles[c]` holds
+    class c's `(vector, self-weight)` per subnetwork. The pair (x, y)
+    has the key `class_of[x] * len(profiles) + class_of[y]`, and
+    `row_of[key]` is its row in `table`, scored the first time it is
+    asked for; both orders of a class pair share one row, so `table`
+    holds one `(scores, aggregate)` row per unordered class pair met so
+    far. Nothing is stored per pair. Read as a sequence, it builds each
+    pair's `SimilarityResult` on demand; indexing needs `pairs` to be
+    indexable, which a `CandidateSet` is not. `complete` is set by a
+    walk that has met every pair: a full iteration or the CSV writer.
     """
 
-    pairs: Sequence[tuple[str, str]]
-    rows: list[int]
-    table: list[tuple[tuple[float, ...], float]]
+    pairs: Sequence[tuple[str, str]] | CandidateSet
+    class_of: dict[str, int]
+    profiles: list[list[tuple[dict[str, int], int]]]
+    table: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
+    complete: bool = False
+    row_of: Memo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.row_of = Memo(self._row_for)
+
+    def _row_for(self, key: int) -> int:
+        """The row of the class pair's other order, or a newly scored one."""
+        a, b = divmod(key, len(self.profiles))
+        row = self.row_of.get(b * len(self.profiles) + a)
+        if row is None:
+            row = len(self.table)
+            scores = tuple([
+                _similarity(vec_a, vec_b, w_aa, w_bb) if w_aa and w_bb else 0.0
+                for (vec_a, w_aa), (vec_b, w_bb) in zip(self.profiles[a], self.profiles[b])
+            ])
+            self.table.append((scores, combine_subnetwork_scores(scores)))
+        return row
+
+    def row(self, x: str, y: str) -> int:
+        return self.row_of[self.class_of[x] * len(self.profiles) + self.class_of[y]]
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __getitem__(self, i: int) -> SimilarityResult:
         x, y = self.pairs[i]
-        return SimilarityResult(x, y, *self.table[self.rows[i]])
+        return SimilarityResult(x, y, *self.table[self.row(x, y)])
 
     def __iter__(self) -> Iterator[SimilarityResult]:
-        for (x, y), row in zip(self.pairs, self.rows):
-            yield SimilarityResult(x, y, *self.table[row])
+        for x, y in self.pairs:
+            yield SimilarityResult(x, y, *self.table[self.row(x, y)])
+        self.complete = True
 
 
 @dataclass
@@ -116,11 +152,13 @@ class RedundantGroupSet:
         return {"theta": self.theta, "now": self.now, "groups": self.groups}
 
 
+def _future_edge(edge: TemporalEdge, now: int) -> FutureEdgeError:
+    return FutureEdgeError(f"edge {edge.relation_id} starts at {edge.interval.start}, after now={now}")
+
+
 def edge_weight(edge: TemporalEdge, now: int) -> int:
     if edge.interval.start > now:
-        raise FutureEdgeError(
-            f"edge {edge.relation_id} starts at {edge.interval.start}, after now={now}"
-        )
+        raise _future_edge(edge, now)
     return (now + 1 - edge.interval.start) * edge.interval.duration
 
 
@@ -195,8 +233,16 @@ def simtap(bundle: NetworkBundle, x: str, y: str, now: int) -> SimilarityResult:
 
 
 def resolve_now(bundle: NetworkBundle, now: int | None) -> int:
-    """Explicit anchor if given, else the latest end time in the bundle."""
+    """Explicit anchor if given, else the latest end time in the bundle.
+
+    An explicit anchor is checked against every edge here, once, so an
+    edge that starts after it fails the run before anything is scored
+    or written, whichever pairs the edge's character ends up in.
+    """
     if now is not None:
+        for edge in bundle.edges():
+            if edge.interval.start > now:
+                raise _future_edge(edge, now)
         return now
     latest = bundle.max_end()
     if latest is None:
@@ -209,7 +255,7 @@ def resolve_now(bundle: NetworkBundle, now: int | None) -> int:
 
 def similarity_for_pairs(
     bundle: NetworkBundle,
-    pairs: Sequence[tuple[str, str]],
+    pairs: Sequence[tuple[str, str]] | CandidateSet,
     now: int,
     workers: int = 1,
 ) -> PairScores:
@@ -220,13 +266,19 @@ def similarity_for_pairs(
     once; its row in `PairScores.table` serves every pair between those
     classes. A subnetwork where either self-weight is 0 scores 0.0
     without a dot product: edge weights are positive, so that character
-    has no entity there to share. `workers` is ignored: the loop is
-    serial. The keyword stays because `bench/replay.py` passes it.
+    has no entity there to share. A list of pairs is scored here, in
+    one pass; a `CandidateSet` is only classified, and its class pairs
+    are scored as the writer or `group_by_threshold` first walks them,
+    so the pairs are walked no more often than the outputs need.
+    `workers` is ignored: the loop is serial. The keyword stays because
+    `bench/replay.py` passes it.
     """
+    lazy = isinstance(pairs, CandidateSet)
+    characters = chain.from_iterable(pairs.buckets) if lazy else {c for pair in pairs for c in pair}
     class_of: dict[str, int] = {}
     class_ids: dict[tuple, int] = {}
     profiles = []
-    for character in sorted({c for pair in pairs for c in pair}):
+    for character in sorted(characters):
         vectors = list(neighbor_weight_vector(bundle, character, now).values())
         key = tuple(tuple(sorted(vec.items())) for vec in vectors)
         cls = class_ids.get(key)
@@ -234,35 +286,25 @@ def similarity_for_pairs(
             cls = class_ids[key] = len(profiles)
             profiles.append([(vec, _self_weight(vec)) for vec in vectors])
         class_of[character] = cls
-
-    classes = len(profiles)
-    row_of: dict[int, int] = {}
-    rows, table = [], []
-    for x, y in pairs:
-        a, b = class_of[x], class_of[y]
-        row = row_of.get(a * classes + b)
-        if row is None:
-            # both orders of the class pair share the row
-            row = row_of[a * classes + b] = row_of[b * classes + a] = len(table)
-            scores = tuple([
-                _similarity(vec_a, vec_b, w_aa, w_bb) if w_aa and w_bb else 0.0
-                for (vec_a, w_aa), (vec_b, w_bb) in zip(profiles[a], profiles[b])
-            ])
-            table.append((scores, combine_subnetwork_scores(scores)))
-        rows.append(row)
-    return PairScores(pairs, rows, table)
+    results = PairScores(pairs, class_of, profiles)
+    if not lazy:
+        deque(results, maxlen=0)
+    return results
 
 
 def group_by_threshold(results: PairScores, theta: float, now: int) -> RedundantGroupSet:
-    """Union every pair whose class-pair row has an aggregate >= theta."""
+    """Union every pair whose class-pair row has an aggregate >= theta.
+
+    Once a walk has completed the table, a table without such a row
+    skips the walk over the pairs.
+    """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     dsu = UnionFind()
-    confirmed = [aggregate >= theta for _, aggregate in results.table]
-    if any(confirmed):
-        for (x, y), row in zip(results.pairs, results.rows):
-            if confirmed[row]:
-                dsu.union(x, y)
+    if not results.complete or any(aggregate >= theta for _, aggregate in results.table):
+        for result in results:
+            if result.aggregate >= theta:
+                dsu.union(result.x, result.y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
 
 
@@ -270,7 +312,7 @@ def threshold_groups(
     candidates: CandidateSet, bundle: NetworkBundle, theta: float, now: int
 ) -> RedundantGroupSet:
     """Confirmed duplicate groups among screened candidate pairs."""
-    return group_by_threshold(similarity_for_pairs(bundle, candidates.ids, now), theta, now)
+    return group_by_threshold(similarity_for_pairs(bundle, candidates, now), theta, now)
 
 
 # -- reports -----------------------------------------------------------------
@@ -279,13 +321,20 @@ def threshold_groups(
 def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str | Path) -> None:
     """One row per pair, one column per subnetwork in declaration order.
 
-    Each class-pair row's score columns are rendered once.
+    Each class-pair row's score columns are rendered once, when the walk
+    first meets it. The walk meets every pair, so it completes the table.
     """
-    fields, fixed = character_fields(bundle), fixed4()
-    cols = [",".join([*[fixed[s] for s in scores], fixed[aggregate]]) for scores, aggregate in results.table]
+    fields = character_fields(bundle)
+    table, row_of, class_of, classes = results.table, results.row_of, results.class_of, len(results.profiles)
+    cols = Memo(lambda row: ",".join([f"{value:.4f}" for value in (*table[row][0], table[row][1])]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
-        fh.writelines(f"{fields[x]},{fields[y]},{cols[row]}\r\n" for (x, y), row in zip(results.pairs, results.rows))
+        # `PairScores.row` written out: a call per pair would cost a third of the write
+        fh.writelines(
+            f"{fields[x]},{fields[y]},{cols[row_of[class_of[x] * classes + class_of[y]]]}\r\n"
+            for x, y in results.pairs
+        )
+    results.complete = True
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

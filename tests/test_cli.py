@@ -190,6 +190,31 @@ def test_future_now_anchor_exits_one(tmp_path):
     assert run("simtap", *base_args(tmp_path), "--pair", "Faye Wu,Fei Wu", "--now", "1980") == 1
 
 
+@pytest.mark.parametrize("command", ["dedupe", "simtap"])
+@pytest.mark.parametrize(
+    "spans, message",
+    [
+        ([(2000, 2001), (2000, 2001), (2020, 2021)], "edge r000003 starts at 2020, after now=2014"),
+        ([(2020, 2021), (2000, 2001), (2000, 2001)], "edge r000001 starts at 2020, after now=2014"),
+    ],
+    ids=["future edge outside every candidate pair", "future edge of a candidate"],
+)
+def test_an_edge_after_now_fails_before_any_data_file_is_written(tmp_path, caplog, command, spans, message):
+    # Ann and Anne share P1 and are the only candidates; Bob is alone on P2
+    people = [("Ann", "P1"), ("Anne", "P1"), ("Bob", "P2")]
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "character_id,character_name,entity_name,entity_type,relation_type,start,end\n"
+        + "".join(f",{name},{paper},paper,wrote,{start},{end}\n" for (name, paper), (start, end) in zip(people, spans)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = [command, "--records", str(records), "--out", str(out), "--now", "2014"]
+    assert run(*argv, *(["--theta", "0.8"] if command == "dedupe" else [])) == 1
+    assert caplog.messages[-1] == message
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -9,10 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapmerge import NetworkBundle, VertexKind, load_records, screen_candidates, structure_error
+from tapmerge import (
+    NetworkBundle,
+    TemporalEdge,
+    TimeInterval,
+    Vertex,
+    VertexKind,
+    load_records,
+    rebuild,
+    screen_candidates,
+    structure_error,
+)
 from tapmerge.graph import GraphError
 from tapmerge.ingest import TransactionRecord
 from tapmerge.screening import NameFilter, write_candidates_csv
+from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 
 def brute_force_multisets_equal(bundle: NetworkBundle, x: str, y: str) -> bool:
@@ -210,6 +221,8 @@ def assert_screen_matches_brute_force(bundle: NetworkBundle, name_filter: NameFi
         (x, y) for i, x in enumerate(ids) for y in ids[i + 1 :] if structure_error(bundle, x, y).is_zero and kept(x, y)
     )
     candidates = screen_candidates(bundle, name_filter)
+    assert list(candidates) == expected
+    # every walk generates the pairs again from the buckets
     assert candidates.pair_ids() == expected
     assert len(candidates) == len(expected)
 
@@ -270,6 +283,43 @@ def test_zero_iff_equal_neighbor_multisets(bundle):
 @given(random_bundles(), st.sampled_from(NameFilter))
 def test_screening_equals_brute_force_on_random_bundles(bundle, name_filter):
     assert_screen_matches_brute_force(bundle, name_filter)
+
+
+@st.composite
+def planted_bundles_with_a_popular_entity(draw) -> NetworkBundle:
+    """A `testkit` bundle with planted duplicates, plus one popular-entity bucket.
+
+    Each fan's one edge goes to the popular entity in the same interval,
+    so all fans share one bucket. Fan ids interleave with the generated
+    ones, and fan names repeat, so the name filters keep some fan pairs
+    and drop others; planted clones keep their source's name.
+    """
+    spec = RandomBundleSpec(
+        characters=draw(st.integers(2, 8)),
+        entities_per_type=draw(st.integers(1, 3)),
+        relation_types=draw(st.integers(1, 3)),
+        edge_density=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    bundle = generate(spec)
+    mode = draw(st.sampled_from(PlantMode))
+    k = draw(st.integers(0, min(len(fully_active_characters(bundle)), 3)))
+    bundle = plant_duplicates(bundle, k, mode, seed=draw(st.integers(0, 2**16)))[0]
+    fans = [
+        Vertex(f"c{i + 1:06d}-fan", VertexKind.CHARACTER, "person", f"fan {i % 3}")
+        for i in range(draw(st.integers(2, 12)))
+    ]
+    popular = Vertex("popular", VertexKind.ENTITY, "venue1", "popular paper")
+    beta = bundle.relation_types()[0]
+    edges = [TemporalEdge(None, fan.id, popular.id, beta, TimeInterval(2003, 2005)) for fan in fans]
+    return rebuild([*bundle.vertices(), popular, *fans], [*bundle.edges(), *edges], bundle.relation_types())
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_bundles_with_a_popular_entity())
+def test_pair_walk_equals_brute_force_with_planted_duplicates_and_a_popular_entity(bundle):
+    for name_filter in NameFilter:
+        assert_screen_matches_brute_force(bundle, name_filter)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -387,6 +388,31 @@ def test_each_class_pair_is_scored_once_in_a_popular_entity_bucket(monkeypatch):
     groups = group_by_threshold(results, theta, now).groups
     assert groups == dsu.groups()
     assert len(groups) == len(set(key.values()))
+
+
+def test_a_popular_entity_bucket_runs_in_memory_flat_in_its_pairs(tmp_path):
+    # 600 people on one paper give 179,700 candidate pairs; a list of them
+    # alone takes about 11 MB
+    bundle = hot_entity_bundle(600)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        candidates = screen_candidates(bundle)
+        write_candidates_csv(bundle, candidates, tmp_path / "candidates.csv")
+        results = similarity_for_pairs(bundle, candidates, now=2010)
+        write_similarity_csv(bundle, results, tmp_path / "similarity.csv")
+        # one active subnetwork of four caps every score at 0.25
+        groups = group_by_threshold(results, theta=0.8, now=2010)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == 600 * 599 // 2
+    # one class per distinct edge weight, and a row for each pair of them
+    classes = len({(2010 + 1 - (2000 + i % 7)) * (i % 5 + 1) for i in range(600)})
+    assert len(results.table) == classes * (classes + 1) // 2
+    assert groups.groups == []
+    assert peak < 2 * 2**20
 
 
 # -- randomized properties ---------------------------------------------------
