@@ -15,10 +15,9 @@ person is the job of the screening and similarity layers built on top.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(Exception):
@@ -52,20 +51,24 @@ class VertexKind(Enum):
     ENTITY = "entity"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class TimeInterval:
+class TimeInterval(namedtuple("TimeInterval", ("start", "end"))):
     """Closed integer interval, by default in years."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.start, int) or not isinstance(self.end, int):
+    def __new__(cls, start: int, end: int) -> "TimeInterval":
+        if not isinstance(start, int) or not isinstance(end, int):
             raise ValueError("interval bounds must be integers")
-        if self.start < 0 or self.end < 0:
-            raise ValueError(f"interval bounds must be non-negative: [{self.start}, {self.end}]")
-        if self.end < self.start:
-            raise ValueError(f"inverted interval: end {self.end} < start {self.start}")
+        if start < 0 or end < 0:
+            raise ValueError(f"interval bounds must be non-negative: [{start}, {end}]")
+        if end < start:
+            raise ValueError(f"inverted interval: end {end} < start {start}")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "TimeInterval":
+        # `_replace` builds through `_make`, which would otherwise skip the checks
+        return cls(*iterable)
 
     @property
     def duration(self) -> int:
@@ -73,16 +76,14 @@ class TimeInterval:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     kind: VertexKind
     type_label: str
     display_name: str
 
 
-@dataclass(frozen=True, slots=True)
-class TemporalEdge:
+class TemporalEdge(NamedTuple):
     """One activity fact: character took part in entity during interval."""
 
     relation_id: str
@@ -97,13 +98,6 @@ def _fresh_id(prefix: str, counter: int, taken: dict[str, Vertex] | set[str]) ->
     while (fresh := f"{prefix}{counter:06d}") in taken:
         counter += 1
     return fresh, counter + 1
-
-
-def _as_interval(interval: TimeInterval | tuple[int, int]) -> TimeInterval:
-    if isinstance(interval, TimeInterval):
-        return interval
-    start, end = interval
-    return TimeInterval(start, end)
 
 
 class TemporalActivityNetwork:
@@ -153,6 +147,9 @@ class NetworkBundle:
         self._subnetworks: dict[str, TemporalActivityNetwork] = {}
         # relation ids in use, for `_register`'s checks; empty once sealed
         self._relation_ids: set[str] = set()
+        # one interval object per distinct (start, end), shared by the edges built
+        # from tuple spans; empty once sealed
+        self._intervals: dict[tuple[int, int], TimeInterval] = {}
         self._sealed = False
         self._digest: str | None = None
         self._next_character = 1
@@ -222,9 +219,10 @@ class NetworkBundle:
         """Check an edge's fields and reserve its id; return its interval and id.
 
         The one checking path of :meth:`add_edge` and :func:`rebuild`. A
-        tuple interval becomes a `TimeInterval`, a ``None`` relation id
-        gets a fresh one, and an unseen relation type is declared. The
-        caller then files the edge under its relation type.
+        tuple interval becomes the bundle's one `TimeInterval` with those
+        bounds, a ``None`` relation id gets a fresh one, and an unseen
+        relation type is declared. The caller then files the edge under
+        its relation type.
         """
         self._require_mutable()
         cv = self.vertex(character)
@@ -233,7 +231,12 @@ class NetworkBundle:
             raise VertexKindError(f"{character!r} is not a character vertex")
         if ev.kind is not VertexKind.ENTITY:
             raise VertexKindError(f"{entity!r} is not an entity vertex")
-        span = _as_interval(interval)
+        if isinstance(interval, TimeInterval):
+            span = interval
+        else:
+            start, end = interval
+            span = TimeInterval(start, end)
+            span = self._intervals.setdefault(span, span)
         if relation_id is None:
             relation_id, self._next_relation = _fresh_id("r", self._next_relation, self._relation_ids)
         elif relation_id in self._relation_ids:
@@ -246,6 +249,7 @@ class NetworkBundle:
     def seal(self) -> "NetworkBundle":
         self._sealed = True
         self._relation_ids.clear()
+        self._intervals.clear()
         return self
 
     def _derive(self, absorbed: dict[str, str], dropped: set[str]) -> "NetworkBundle":
@@ -402,8 +406,7 @@ class NetworkBundle:
             raise HeterogeneityError("need at least 1 relation type")
 
 
-@dataclass(frozen=True)
-class OneModeRelation:
+class OneModeRelation(NamedTuple):
     """A derived character-to-character tie, with provenance.
 
     One relation exists per (shared entity, edge pair). Endpoints are
@@ -418,10 +421,10 @@ class OneModeRelation:
     edge_b: str
 
 
-@dataclass
 class OneModeNetwork:
-    characters: list[str]
-    relations: list[OneModeRelation] = field(default_factory=list)
+    def __init__(self, characters: list[str], relations: list[OneModeRelation]):
+        self.characters = characters
+        self.relations = relations
 
     def multiplicity(self, x: str, y: str) -> int:
         lo, hi = min(x, y), max(x, y)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import NetworkBundle, TemporalEdge, TimeInterval, VertexKind
 from .screening import character_fields, csv_fields
@@ -46,16 +45,14 @@ class TransactionRecord(NamedTuple):
     character_id: str | None = None
 
 
-@dataclass
 class DatasetManifest:
-    relation_types: list[str] = field(default_factory=list)
-    entity_types: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(set(self.relation_types)) != len(self.relation_types):
+    def __init__(self, relation_types: Sequence[str] = (), entity_types: Sequence[str] = ()):
+        if len(set(relation_types)) != len(relation_types):
             raise IngestError("manifest declares duplicate relation types")
-        if len(set(self.entity_types)) != len(self.entity_types):
+        if len(set(entity_types)) != len(entity_types):
             raise IngestError("manifest declares duplicate entity types")
+        self.relation_types = list(relation_types)
+        self.entity_types = list(entity_types)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetManifest":
@@ -82,20 +79,21 @@ class DatasetManifest:
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(NamedTuple):
     line: int
     reason: str
     raw: str
 
 
-@dataclass
 class LoadReport:
-    total_rows: int = 0
-    loaded_rows: int = 0
-    rejected: list[RejectedRow] = field(default_factory=list)
-    discovered_relation_types: list[str] = field(default_factory=list)
-    discovered_entity_types: list[str] = field(default_factory=list)
+    """What `load` made of a file's rows, filled in as they stream."""
+
+    def __init__(self) -> None:
+        self.total_rows = 0
+        self.loaded_rows = 0
+        self.rejected: list[RejectedRow] = []
+        self.discovered_relation_types: list[str] = []
+        self.discovered_entity_types: list[str] = []
 
     def to_dict(self) -> dict:
         return {
@@ -120,13 +118,11 @@ def load_records(
     bundle = NetworkBundle()
     for beta in manifest.relation_types:
         bundle.declare_relation_type(beta)
-    subnetworks = bundle._subnetworks
+    subnetworks, intervals = bundle._subnetworks, bundle._intervals
     # explicit ids and blank-id names are separate kinds of key
     by_id: dict[str, str] = {}
     by_name: dict[str, str] = {}
     entities: dict[tuple[str, str], str] = {}
-    # one frozen interval object per distinct (start, end), shared by its edges
-    intervals: dict[tuple[int, int], TimeInterval] = {}
     # the bundle is new and no record carries a relation id, so the record
     # numbers r000001, r000002, ... never meet a taken id
     for number, record in enumerate(records, 1):

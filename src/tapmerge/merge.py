@@ -12,10 +12,9 @@ callers that need it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .graph import GraphError, NetworkBundle, TemporalEdge, VertexKind
 
@@ -31,33 +30,33 @@ class StalePlanError(MergeError):
     """The plan was built against a different bundle."""
 
 
-@dataclass(frozen=True)
-class EdgeDisposition:
+class EdgeDisposition(NamedTuple):
     relation_id: str
     action: Disposition
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(NamedTuple):
     representative: str
     absorbed: tuple[str, ...]
     dispositions: dict[str, tuple[EdgeDisposition, ...]]
 
 
-@dataclass
-class MergePlan:
+class MergePlan(NamedTuple):
     groups: list[GroupPlan]
     # the sealed bundle the plan was built on; `apply_merge` compares
     # content digests only when handed a different bundle
-    source: NetworkBundle = field(compare=False, repr=False)
+    source: NetworkBundle
+
+    def __repr__(self) -> str:
+        # a bundle's repr is only its address
+        return f"MergePlan(groups={self.groups!r})"
 
     @property
     def removed_vertex_count(self) -> int:
         return sum(len(g.absorbed) for g in self.groups)
 
 
-@dataclass
-class MergeAudit:
+class MergeAudit(NamedTuple):
     removed_vertices: int
     dropped_edges: int
     transferred_edges: int
@@ -72,21 +71,19 @@ class MergeAudit:
         }
 
 
-@dataclass
-class MergedNetwork:
+class MergedNetwork(NamedTuple):
     bundle: NetworkBundle
     audit: MergeAudit
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 
 
-@dataclass
 class VerificationReport:
-    violations: list[Violation] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.violations: list[Violation] = []
 
     @property
     def ok(self) -> bool:
@@ -262,13 +259,15 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
             for disposition in group.dispositions.get(duplicate, ()):
                 if disposition.action != "transfer-to-representative":
                     continue
-                if disposition.relation_id in facts:
-                    expected_facts[group.representative].append(facts[disposition.relation_id])
-                else:
+                if disposition.relation_id not in facts:
                     report.add(
                         "neighbor degree mismatch",
                         f"plan transfers {disposition.relation_id}, which is not an edge of {duplicate}",
                     )
+                elif group.representative in expected_facts:
+                    # a representative that is no surviving character of `before`
+                    # has no expected facts; the checks below report it
+                    expected_facts[group.representative].append(facts[disposition.relation_id])
     for vid, expected in expected_facts.items():
         post = [fact for fact, _ in after_index.get(vid, ())]
         if sorted(expected) != post:
@@ -287,11 +286,14 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
                     f"{sorted(pre_facts)} -> {sorted(post_facts)}",
                 )
 
-    # every representative is still a character vertex of the result
+    # every representative is a character vertex of the input and still one of the result
     for group in plan.groups:
         representative = group.representative
-        if not after.has_vertex(representative) or after.vertex(representative).kind is not VertexKind.CHARACTER:
-            report.add("representative not a character", f"{representative} is not a character vertex of the result")
+        for bundle, role in ((before, "input"), (after, "result")):
+            if not bundle.has_vertex(representative) or bundle.vertex(representative).kind is not VertexKind.CHARACTER:
+                report.add(
+                    "representative not a character", f"{representative} is not a character vertex of the {role}"
+                )
     return report
 
 

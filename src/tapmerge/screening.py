@@ -23,11 +23,10 @@ that the writers can generate again, in id order, from the buckets.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator, NamedTuple
 
 from .graph import GraphError, NetworkBundle, VertexKind
 
@@ -40,15 +39,13 @@ class NameFilter(Enum):
     DIFFERENT_NAME = "different"
 
 
-@dataclass(frozen=True)
-class SubnetworkOverlap:
+class SubnetworkOverlap(NamedTuple):
     degree_x: int
     degree_y: int
     shared: int
 
 
-@dataclass(frozen=True)
-class StructureError:
+class StructureError(NamedTuple):
     x: str
     y: str
     value: float
@@ -89,7 +86,6 @@ def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
     return StructureError(x, y, value, degree_x, degree_y, shared, per_beta)
 
 
-@dataclass
 class CandidateSet:
     """Unordered character pairs with structure error zero, kept as their buckets.
 
@@ -102,11 +98,14 @@ class CandidateSet:
     signature buckets before any name filter.
     """
 
-    buckets: list[list[str]]
-    names: dict[str, str] | None
-    count: int
-    bucket_count: int
-    largest_bucket: int
+    def __init__(
+        self, buckets: list[list[str]], names: dict[str, str] | None, count: int, bucket_count: int, largest_bucket: int
+    ):
+        self.buckets = buckets
+        self.names = names
+        self.count = count
+        self.bucket_count = bucket_count
+        self.largest_bucket = largest_bucket
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         # a character sits in one bucket, so its pairs are the members after

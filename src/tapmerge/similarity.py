@@ -37,7 +37,6 @@ import csv
 import json
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -51,8 +50,7 @@ class FutureEdgeError(GraphError):
     """An edge starts after the chosen `now` anchor."""
 
 
-@dataclass(frozen=True)
-class TapPath:
+class TapPath(NamedTuple):
     """One character -> entity -> character path with its edge weights."""
 
     start: str
@@ -77,7 +75,6 @@ class SimilarityResult(NamedTuple):
     aggregate: float
 
 
-@dataclass
 class PairScores(Sequence[SimilarityResult]):
     """Similarity for some pairs, stored once per pair of weight-vector classes.
 
@@ -93,15 +90,25 @@ class PairScores(Sequence[SimilarityResult]):
     walk that has met every pair: a full iteration or the CSV writer.
     """
 
-    pairs: Sequence[tuple[str, str]] | CandidateSet
-    class_of: dict[str, int]
-    profiles: list[list[tuple[dict[str, int], int]]]
-    table: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
-    complete: bool = False
-    row_of: Memo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        pairs: Sequence[tuple[str, str]] | CandidateSet,
+        class_of: dict[str, int],
+        profiles: list[list[tuple[dict[str, int], int]]],
+    ):
+        self.pairs = pairs
+        self.class_of = class_of
+        self.profiles = profiles
+        self.table: list[tuple[tuple[float, ...], float]] = []
+        self.complete = False
         self.row_of = Memo(self._row_for)
+
+    def __eq__(self, other: object) -> bool:
+        # field by field; `row_of` only caches rows of `table`
+        if not isinstance(other, PairScores):
+            return NotImplemented
+        mine = (self.pairs, self.class_of, self.profiles, self.table, self.complete)
+        return mine == (other.pairs, other.class_of, other.profiles, other.table, other.complete)
 
     def _row_for(self, key: int) -> int:
         """The row of the class pair's other order, or a newly scored one."""
@@ -132,8 +139,7 @@ class PairScores(Sequence[SimilarityResult]):
         self.complete = True
 
 
-@dataclass
-class RedundantGroupSet:
+class RedundantGroupSet(NamedTuple):
     """Disjoint duplicate groups: components of the >= theta pair graph."""
 
     groups: list[list[str]]

@@ -5,14 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from tapmerge import (
     NetworkBundle,
+    TemporalEdge,
     TimeInterval,
     TransactionRecord,
+    Vertex,
     VertexKind,
     apply_merge,
     load,
@@ -38,8 +39,28 @@ def test_interval_rejects_inversion_and_negatives():
         TimeInterval(2005, 2001)
     with pytest.raises(ValueError, match="non-negative"):
         TimeInterval(-1, 3)
+    # `_replace` builds through `_make`, so both check the bounds too
+    with pytest.raises(ValueError, match="inverted"):
+        TimeInterval(3, 5)._replace(end=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        TimeInterval._make((-1, 3))
     assert TimeInterval(2000, 2000).duration == 1
     assert TimeInterval(2000, 2004).duration == 5
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        TimeInterval(2000, 2001),
+        Vertex("c1", VertexKind.CHARACTER, "person", "A"),
+        TemporalEdge("r1", "c1", "e1", "study", TimeInterval(2000, 2001)),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_reject_assignment_to_every_field(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_add_vertex_assigns_fresh_ids():
@@ -98,6 +119,10 @@ def test_add_edge_happy_path_and_parallel_edges():
     assert r1 != r2
     assert bundle.edge_count == 2
     assert bundle.subnetwork("study").degree(c) == 2
+    # equal tuple spans share one interval object
+    first, second = bundle.subnetwork("study").edges_of_character(c)
+    assert first.interval == TimeInterval(1992, 1996)
+    assert first.interval is second.interval
 
 
 def test_add_edge_validations():
@@ -110,6 +135,10 @@ def test_add_edge_validations():
         bundle.add_edge(e, c, "study", (2000, 2001))  # swapped endpoints
     with pytest.raises(ValueError, match="inverted"):
         bundle.add_edge(c, e, "study", (2002, 2001))
+    # a shared interval with equal bounds does not let non-integer bounds through
+    bundle.add_edge(c, e, "study", (2000, 2001))
+    with pytest.raises(ValueError, match="integers"):
+        bundle.add_edge(c, e, "study", (2000.0, 2001))
 
 
 def test_sealed_bundle_rejects_mutation():
@@ -195,7 +224,7 @@ def test_duplicate_relation_id_under_another_relation_type_rejected(club):
     with pytest.raises(DuplicateIdError):
         bundle.add_edge("c1", "e1", "work", (2002, 2003), relation_id="r1")
     edge = next(club.bundle.edges())
-    clash = replace(edge, relation_type="other")
+    clash = edge._replace(relation_type="other")
     with pytest.raises(DuplicateIdError):
         rebuild(club.bundle.vertices(), [edge, clash], club.bundle.relation_types())
 
@@ -221,14 +250,15 @@ def test_relation_id_index_lives_only_while_the_bundle_is_open(club, scholars_bu
     for source, sealed_bundle in sealed.items():
         assert sealed_bundle.sealed and sealed_bundle.edge_count, source
         assert sealed_bundle._relation_ids == set(), source
+        assert sealed_bundle._intervals == {}, source
 
 
 def test_rebuild_rejects_unknown_and_wrong_kind_vertices(club):
     edge = next(club.bundle.edges())
     with pytest.raises(UnknownVertexError):
-        rebuild(club.bundle.vertices(), [replace(edge, entity="ghost")], club.bundle.relation_types())
+        rebuild(club.bundle.vertices(), [edge._replace(entity="ghost")], club.bundle.relation_types())
     with pytest.raises(VertexKindError):
-        rebuild(club.bundle.vertices(), [replace(edge, character=edge.entity)], club.bundle.relation_types())
+        rebuild(club.bundle.vertices(), [edge._replace(character=edge.entity)], club.bundle.relation_types())
 
 
 def test_rebuild_stores_the_callers_edge_objects(club):
@@ -262,7 +292,7 @@ def test_content_digest_ignores_insertion_order():
 
 def test_content_digest_changes_with_one_interval(club):
     edges = list(club.bundle.edges())
-    shifted = [replace(edges[0], interval=TimeInterval(edges[0].interval.start, edges[0].interval.end + 1)), *edges[1:]]
+    shifted = [edges[0]._replace(interval=TimeInterval(edges[0].interval.start, edges[0].interval.end + 1)), *edges[1:]]
     copy = rebuild(club.bundle.vertices(), edges, club.bundle.relation_types())
     changed = rebuild(club.bundle.vertices(), shifted, club.bundle.relation_types())
     assert copy.content_digest() == club.bundle.content_digest()

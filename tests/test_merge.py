@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -163,7 +162,7 @@ def test_verification_reports_every_kind_of_corruption(scholars_bundle, scholar_
     vertices, edges = merged.vertices(), list(merged.edges())
     rep_edges = [e for e in edges if e.character == representative]
     other_edges = [e for e in edges if e.character != representative]
-    shifted = replace(rep_edges[0], interval=TimeInterval(1990, 1990))
+    shifted = rep_edges[0]._replace(interval=TimeInterval(1990, 1990))
 
     corruptions = {
         "vertex count mismatch": (vertices + [Vertex("extra", VertexKind.ENTITY, "club", "Extra")], edges),
@@ -171,7 +170,7 @@ def test_verification_reports_every_kind_of_corruption(scholars_bundle, scholar_
         "neighbor degree mismatch": (vertices, other_edges + rep_edges[1:]),
         "entity fact mismatch": (vertices, other_edges + [shifted] + rep_edges[1:]),
         "representative not a character": (
-            [v if v.id != representative else replace(v, kind=VertexKind.ENTITY) for v in vertices],
+            [v if v.id != representative else v._replace(kind=VertexKind.ENTITY) for v in vertices],
             other_edges,
         ),
     }
@@ -212,14 +211,30 @@ def test_verification_reports_a_transfer_of_another_characters_edge(scholars_bun
     group = plan.groups[0]
     (absorbed,) = group.absorbed
     foreign = next(e.relation_id for e in scholars_bundle.edges() if e.character not in (faye, fei))
-    wrong = replace(
-        group,
+    wrong = group._replace(
         dispositions={absorbed: (*group.dispositions[absorbed], EdgeDisposition(foreign, "transfer-to-representative"))},
     )
-    report = verify_merge(scholars_bundle, merged, replace(plan, groups=[wrong]))
+    report = verify_merge(scholars_bundle, merged, plan._replace(groups=[wrong]))
     assert [(v.kind, v.detail) for v in report.violations] == [
         ("neighbor degree mismatch", f"plan transfers {foreign}, which is not an edge of {absorbed}"),
     ]
+
+
+@pytest.mark.parametrize("representative", ["ghost", "entity"])
+def test_verification_reports_a_representative_that_is_no_character_of_the_input(
+    scholars_bundle, scholar_ids, representative
+):
+    if representative == "entity":
+        representative = scholars_bundle.entity_ids()[0]
+    plan = plan_merge(scholars_bundle, [[scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]]])
+    merged = apply_merge(scholars_bundle, plan).bundle
+    (group,) = plan.groups
+    edited = plan._replace(groups=[group._replace(representative=representative)])
+    report = verify_merge(scholars_bundle, merged, edited)
+    violations = [(v.kind, v.detail) for v in report.violations]
+    assert ("representative not a character", f"{representative} is not a character vertex of the input") in violations
+    assert ("representative not a character", f"{representative} is not a character vertex of the result") in violations
+    assert sorted(violations) == sorted(whole_bundle_verify_reference(scholars_bundle, merged, edited))
 
 
 def test_verification_flags_a_hand_corrupted_result(scholars_bundle, scholar_ids):
@@ -287,7 +302,7 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
     entity = scholars_bundle.entity_ids()[0]
 
     def edited(group, **changes):
-        return replace(plan, groups=[replace(g, **changes) if g is group else g for g in plan.groups])
+        return plan._replace(groups=[g._replace(**changes) if g is group else g for g in plan.groups])
 
     # an entity fails as it does in plan_merge, before any edge is visited
     with pytest.raises(MergeError) as planned:
@@ -328,7 +343,7 @@ def rebuild_reference(bundle: NetworkBundle, plan) -> NetworkBundle:
         if representative is None:
             edges.append(edge)
         elif actions[edge.relation_id] == "transfer-to-representative":
-            edges.append(replace(edge, character=representative))
+            edges.append(edge._replace(character=representative))
     vertices = [v for v in bundle.vertices() if v.id not in mapping]
     return rebuild(vertices, edges, bundle.relation_types())
 
@@ -398,7 +413,7 @@ def test_a_plan_applies_to_an_equal_content_copy_but_not_to_a_changed_one(schola
     assert from_copy.bundle.vertices() == merged.bundle.vertices()
     assert from_copy.audit == merged.audit
 
-    shifted = [replace(edges[0], interval=TimeInterval(1990, 1990)), *edges[1:]]
+    shifted = [edges[0]._replace(interval=TimeInterval(1990, 1990)), *edges[1:]]
     changed = rebuild(scholars_bundle.vertices(), shifted, scholars_bundle.relation_types())
     with pytest.raises(StalePlanError):
         apply_merge(changed, plan)
@@ -448,13 +463,13 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
             for disposition in group.dispositions.get(duplicate, ()):
                 if disposition.action != "transfer-to-representative":
                     continue
-                if disposition.relation_id in facts:
-                    expected_facts[group.representative].append(facts[disposition.relation_id])
-                else:
+                if disposition.relation_id not in facts:
                     violations.append((
                         "neighbor degree mismatch",
                         f"plan transfers {disposition.relation_id}, which is not an edge of {duplicate}",
                     ))
+                elif group.representative in expected_facts:
+                    expected_facts[group.representative].append(facts[disposition.relation_id])
     for vid, expected in expected_facts.items():
         if sorted(expected) != [fact for fact, _ in after_index.get(vid, ())]:
             violations.append(("neighbor degree mismatch", f"edge multiset of character {vid} changed"))
@@ -471,10 +486,11 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
                 ))
     for group in plan.groups:
         representative = group.representative
-        if not after.has_vertex(representative) or after.vertex(representative).kind is not VertexKind.CHARACTER:
-            violations.append(
-                ("representative not a character", f"{representative} is not a character vertex of the result")
-            )
+        for bundle, role in ((before, "input"), (after, "result")):
+            if not bundle.has_vertex(representative) or bundle.vertex(representative).kind is not VertexKind.CHARACTER:
+                violations.append(
+                    ("representative not a character", f"{representative} is not a character vertex of the {role}")
+                )
     return violations
 
 
@@ -499,7 +515,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
         edge = edges[i]
         yield "drop", edges[:i] + edges[i + 1 :]
         shifted = TimeInterval(edge.interval.start + 1, edge.interval.end + rng.randint(1, 3))
-        yield "shift", edges[:i] + [replace(edge, interval=shifted)] + edges[i + 1 :]
+        yield "shift", edges[:i] + [edge._replace(interval=shifted)] + edges[i + 1 :]
 
     for role, character in (("untouched", untouched), ("representative", group.representative)):
         for edit, edge_list in edited_edges(character):
@@ -507,7 +523,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
         added = TemporalEdge("added-edge", character, entity, relation_type, TimeInterval(2001, 2002))
         at = rng.randrange(len(edges) + 1)
         yield f"add an edge to the {role} character", bundle_of(vertices, edges[:at] + [added] + edges[at:])
-        retagged = [replace(v, kind=VertexKind.ENTITY) if v.id == character else v for v in vertices]
+        retagged = [v._replace(kind=VertexKind.ENTITY) if v.id == character else v for v in vertices]
         yield f"retag the {role} character", bundle_of(retagged, [e for e in edges if e.character != character])
     yield "add a vertex", bundle_of(vertices + [Vertex("added-vertex", VertexKind.CHARACTER, "person", "New")], edges)
 
@@ -517,7 +533,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
     if moved:
         i = rng.choice(moved)
         yield "drop an edge transferred from the absorbed character", bundle_of(vertices, edges[:i] + edges[i + 1 :])
-        shifted = replace(edges[i], interval=TimeInterval(edges[i].interval.start, edges[i].interval.end + 1))
+        shifted = edges[i]._replace(interval=TimeInterval(edges[i].interval.start, edges[i].interval.end + 1))
         yield "shift an edge transferred from the absorbed character", bundle_of(
             vertices, edges[:i] + [shifted] + edges[i + 1 :]
         )
@@ -525,7 +541,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
     yield "add the absorbed vertex back", bundle_of(vertices + [revived], edges)
     back = TemporalEdge("added-edge", absorbed, entity, relation_type, TimeInterval(2001, 2002))
     yield "add an edge to the absorbed character", bundle_of(vertices + [revived], edges + [back])
-    retagged = replace(revived, kind=VertexKind.ENTITY)
+    retagged = revived._replace(kind=VertexKind.ENTITY)
     yield "add the absorbed vertex back retagged", bundle_of(vertices + [retagged], edges)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +36,16 @@ def test_package_imports_only_the_standard_library(path):
         if name.split(".")[0] != "tapmerge" and name.split(".")[0] not in sys.stdlib_module_names
     )
     assert foreign == []
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # every command pays its imports at start-up, and `dataclasses` pulls in
+    # `inspect`, `ast` and `dis`; `-S` skips the site-packages start-up files,
+    # which may import either module for reasons of their own
+    code = "import sys, tapmerge.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    src = str(PACKAGE_DIR.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
