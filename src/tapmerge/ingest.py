@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -150,12 +151,15 @@ def load_records(
     return bundle.seal()
 
 
+_INTEGER = re.compile("[+-]?[0-9]+")  # `int()` alone also reads `1_999` and full-width digits
+
+
 def _span(start: str, end: str) -> tuple[int, int] | str:
     """The bounds of a row's `start` and `end` fields, or why they are rejected."""
-    try:
-        bounds = (int(start), int(end))
-    except ValueError:
+    start, end = start.strip(), end.strip()
+    if not (_INTEGER.fullmatch(start) and _INTEGER.fullmatch(end)):
         return "start/end are not integers"
+    bounds = (int(start), int(end))
     if bounds[0] < 0 or bounds[1] < 0:
         return "negative time point"
     if bounds[1] < bounds[0]:

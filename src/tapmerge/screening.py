@@ -94,7 +94,9 @@ class CandidateSet:
     display names are equal in `names` is skipped; `names` is None
     unless the different-name filter applies. Iterating yields the
     pairs sorted by id, walking the buckets again each time; `count` is
-    their number. `bucket_count` and `largest_bucket` describe the
+    their number. `class_pairs` lists the class pairs they join from the
+    buckets alone, and `similarity_for_pairs` scores all of them before
+    it returns. `bucket_count` and `largest_bucket` describe the
     signature buckets before any name filter.
     """
 
@@ -119,6 +121,25 @@ class CandidateSet:
             name = self.names[x]
             later = [y for y in later if self.names[y] != name]
         return zip(repeat(x), later)
+
+    def class_pairs(self, class_of: dict[str, int]) -> Iterator[tuple[int, int]]:
+        """Each unordered pair of classes that some candidate pair joins, once per bucket it is met in.
+
+        Two classes, or a class with itself, are joined in a bucket when
+        their members there carry two display names; without the
+        different-name filter each member is its own name.
+        """
+        names = self.names or {}
+        for members in self.buckets:
+            names_in: dict[int, set[str]] = {}
+            for member in members:
+                names_in.setdefault(class_of[member], set()).add(names.get(member, member))
+            present = list(names_in.items())
+            for i, (a, names_a) in enumerate(present):
+                for b, names_b in present[i:]:
+                    # two non-empty name sets hold one name between them only when both are that name
+                    if len(names_a) > 1 or names_a != names_b:
+                        yield a, b
 
     def pair_ids(self) -> list[tuple[str, str]]:
         return list(self)

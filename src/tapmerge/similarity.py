@@ -18,13 +18,12 @@ plain mean over all declared subnetworks, counting a subnetwork a
 character is absent from as 0.
 
 A pair's scores depend only on the two characters' aggregated weight
-vectors, so a batch puts characters with equal vectors in one class and
-scores each pair of classes once (`PairScores`). The candidates in
-one signature bucket share their structure, so a bucket of thousands of
-people around one popular entity has far fewer classes than pairs.
-`PairScores` keeps one row per class pair met and nothing per pair:
-the CSV writer and `group_by_threshold` walk the pairs again and look
-each one's row up by its two classes.
+vectors, so `similarity_for_pairs` puts characters with equal vectors in
+one class and scores each class pair that the pairs meet once, before it
+returns. The candidates in one signature bucket share their structure,
+so a bucket of thousands of people around one popular entity has far
+fewer classes than pairs. `PairScores` keeps one row per class pair and
+nothing per pair.
 
 All accumulation is exact integer arithmetic; the single final division
 is the only float operation, so results are bit-reproducible and do not
@@ -35,14 +34,13 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 from .graph import GraphError, NetworkBundle, TemporalActivityNetwork, TemporalEdge, VertexKind
-from .screening import CandidateSet, Memo, character_fields
+from .screening import CandidateSet, character_fields
 from .unionfind import UnionFind
 
 
@@ -78,53 +76,35 @@ class SimilarityResult(NamedTuple):
 class PairScores(Sequence[SimilarityResult]):
     """Similarity for some pairs, stored once per pair of weight-vector classes.
 
-    `class_of` gives each character's class, and `profiles[c]` holds
-    class c's `(vector, self-weight)` per subnetwork. The pair (x, y)
-    has the key `class_of[x] * len(profiles) + class_of[y]`, and
-    `row_of[key]` is its row in `table`, scored the first time it is
-    asked for; both orders of a class pair share one row, so `table`
-    holds one `(scores, aggregate)` row per unordered class pair met so
-    far. Nothing is stored per pair. Read as a sequence, it builds each
-    pair's `SimilarityResult` on demand; indexing needs `pairs` to be
-    indexable, which a `CandidateSet` is not. `complete` is set by a
-    walk that has met every pair: a full iteration or the CSV writer.
+    `class_of` gives each character's class. The pair (x, y) has the key
+    `class_of[x] * len(class_of) + class_of[y]`, as no class id reaches
+    the number of characters, and `row_of[key]` is its row in `table`,
+    which `similarity_for_pairs` fills before it returns: one `(scores,
+    aggregate)` row per unordered class pair that `pairs` meets, keyed
+    in both orders. Read as a sequence, it builds each pair's
+    `SimilarityResult` on demand; indexing needs `pairs` to be
+    indexable, which a `CandidateSet` is not.
     """
 
     def __init__(
         self,
         pairs: Sequence[tuple[str, str]] | CandidateSet,
         class_of: dict[str, int],
-        profiles: list[list[tuple[dict[str, int], int]]],
+        table: list[tuple[tuple[float, ...], float]],
+        row_of: dict[int, int],
     ):
         self.pairs = pairs
         self.class_of = class_of
-        self.profiles = profiles
-        self.table: list[tuple[tuple[float, ...], float]] = []
-        self.complete = False
-        self.row_of = Memo(self._row_for)
+        self.table = table
+        self.row_of = row_of
 
     def __eq__(self, other: object) -> bool:
-        # field by field; `row_of` only caches rows of `table`
         if not isinstance(other, PairScores):
             return NotImplemented
-        mine = (self.pairs, self.class_of, self.profiles, self.table, self.complete)
-        return mine == (other.pairs, other.class_of, other.profiles, other.table, other.complete)
-
-    def _row_for(self, key: int) -> int:
-        """The row of the class pair's other order, or a newly scored one."""
-        a, b = divmod(key, len(self.profiles))
-        row = self.row_of.get(b * len(self.profiles) + a)
-        if row is None:
-            row = len(self.table)
-            scores = tuple([
-                _similarity(vec_a, vec_b, w_aa, w_bb) if w_aa and w_bb else 0.0
-                for (vec_a, w_aa), (vec_b, w_bb) in zip(self.profiles[a], self.profiles[b])
-            ])
-            self.table.append((scores, combine_subnetwork_scores(scores)))
-        return row
+        return vars(self) == vars(other)
 
     def row(self, x: str, y: str) -> int:
-        return self.row_of[self.class_of[x] * len(self.profiles) + self.class_of[y]]
+        return self.row_of[self.class_of[x] * len(self.class_of) + self.class_of[y]]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -136,7 +116,6 @@ class PairScores(Sequence[SimilarityResult]):
     def __iter__(self) -> Iterator[SimilarityResult]:
         for x, y in self.pairs:
             yield SimilarityResult(x, y, *self.table[self.row(x, y)])
-        self.complete = True
 
 
 class RedundantGroupSet(NamedTuple):
@@ -265,22 +244,20 @@ def similarity_for_pairs(
     now: int,
     workers: int = 1,
 ) -> PairScores:
-    """Similarity for each pair, in input order.
+    """Similarity for each pair, in input order, with every class pair scored on return.
 
     Characters whose weight vectors are equal in every subnetwork form
-    one class, and each distinct unordered pair of classes is scored
-    once; its row in `PairScores.table` serves every pair between those
-    classes. A subnetwork where either self-weight is 0 scores 0.0
-    without a dot product: edge weights are positive, so that character
-    has no entity there to share. A list of pairs is scored here, in
-    one pass; a `CandidateSet` is only classified, and its class pairs
-    are scored as the writer or `group_by_threshold` first walks them,
-    so the pairs are walked no more often than the outputs need.
-    `workers` is ignored: the loop is serial. The keyword stays because
-    `bench/replay.py` passes it.
+    one class, and each distinct unordered pair of classes that the
+    pairs meet is scored once, into one `PairScores.table` row. A
+    `CandidateSet` lists its class pairs from its buckets, without
+    walking its pairs; a list of pairs is walked once. A subnetwork
+    where either self-weight is 0 scores 0.0 without a dot product:
+    edge weights are positive, so that character has no entity there to
+    share. `workers` is ignored: the loop is serial. The keyword stays
+    because `bench/replay.py` passes it.
     """
-    lazy = isinstance(pairs, CandidateSet)
-    characters = chain.from_iterable(pairs.buckets) if lazy else {c for pair in pairs for c in pair}
+    screened = isinstance(pairs, CandidateSet)
+    characters = chain.from_iterable(pairs.buckets) if screened else {c for pair in pairs for c in pair}
     class_of: dict[str, int] = {}
     class_ids: dict[tuple, int] = {}
     profiles = []
@@ -292,22 +269,33 @@ def similarity_for_pairs(
             cls = class_ids[key] = len(profiles)
             profiles.append([(vec, _self_weight(vec)) for vec in vectors])
         class_of[character] = cls
-    results = PairScores(pairs, class_of, profiles)
-    if not lazy:
-        deque(results, maxlen=0)
-    return results
+    n = len(class_of)
+    class_pairs = pairs.class_pairs(class_of) if screened else ((class_of[x], class_of[y]) for x, y in pairs)
+    table: list[tuple[tuple[float, ...], float]] = []
+    row_of: dict[int, int] = {}
+    for a, b in class_pairs:
+        key = a * n + b
+        if key not in row_of:
+            row_of[key] = row_of[b * n + a] = len(table)
+            scores = tuple([
+                _similarity(vec_a, vec_b, w_aa, w_bb) if w_aa and w_bb else 0.0
+                for (vec_a, w_aa), (vec_b, w_bb) in zip(profiles[a], profiles[b])
+            ])
+            table.append((scores, combine_subnetwork_scores(scores)))
+    return PairScores(pairs, class_of, table, row_of)
 
 
 def group_by_threshold(results: PairScores, theta: float, now: int) -> RedundantGroupSet:
     """Union every pair whose class-pair row has an aggregate >= theta.
 
-    Once a walk has completed the table, a table without such a row
-    skips the walk over the pairs.
+    The table is full from the moment `similarity_for_pairs` returns, so
+    the pairs are walked only when some row reaches theta, whatever ran
+    before.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     dsu = UnionFind()
-    if not results.complete or any(aggregate >= theta for _, aggregate in results.table):
+    if any(aggregate >= theta for _, aggregate in results.table):
         for result in results:
             if result.aggregate >= theta:
                 dsu.union(result.x, result.y)
@@ -327,20 +315,19 @@ def threshold_groups(
 def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str | Path) -> None:
     """One row per pair, one column per subnetwork in declaration order.
 
-    Each class-pair row's score columns are rendered once, when the walk
-    first meets it. The walk meets every pair, so it completes the table.
+    The table already holds every class pair's row, so each row's score
+    columns are rendered once, before the walk over the pairs.
     """
     fields = character_fields(bundle)
-    table, row_of, class_of, classes = results.table, results.row_of, results.class_of, len(results.profiles)
-    cols = Memo(lambda row: ",".join([f"{value:.4f}" for value in (*table[row][0], table[row][1])]))
+    row_of, class_of, n = results.row_of, results.class_of, len(results.class_of)
+    cols = [",".join([f"{value:.4f}" for value in (*scores, aggregate)]) for scores, aggregate in results.table]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
         # `PairScores.row` written out: a call per pair would cost a third of the write
         fh.writelines(
-            f"{fields[x]},{fields[y]},{cols[row_of[class_of[x] * classes + class_of[y]]]}\r\n"
+            f"{fields[x]},{fields[y]},{cols[row_of[class_of[x] * n + class_of[y]]]}\r\n"
             for x, y in results.pairs
         )
-    results.complete = True
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

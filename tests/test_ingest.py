@@ -440,6 +440,9 @@ ROW_REJECTIONS = [
     (",A,Uni,institution,,2001,2002", "empty relation_type"),
     (",A,Uni,institution,study,20O1,2002", "start/end are not integers"),
     (",A,Uni,institution,study,2001,", "start/end are not integers"),
+    # int() takes both, but neither is the file's text as written
+    (",A,Uni,institution,study,1_999,2002", "start/end are not integers"),
+    (",A,Uni,institution,study,2000,\uff12\uff10\uff10\uff10", "start/end are not integers"),
     (",A,Uni,institution,study,-1,2002", "negative time point"),
     (",A,Uni,institution,study,2005,2001", "inverted interval"),
     # two failed checks: the earlier one names the row
@@ -483,7 +486,7 @@ def test_row_rejections_in_one_file(tmp_path):
     ]
     assert (report.total_rows, report.loaded_rows) == (7, 3)
     assert report.discovered_relation_types == ["sabbatical"]
-    # int() accepts surrounding blanks and a plus sign
+    # a bound may have surrounding blanks and a sign
     assert sorted((e.interval.start, e.interval.end) for e in bundle.edges()) == [(5, 6), (2000, 2001), (2001, 2002)]
     with pytest.raises(IngestError) as raised:
         load(write_csv(tmp_path, [rows[1], rows[3], rows[5]]), SCHOLARS_MANIFEST, strict=True)

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from tapmerge import (
     NetworkBundle,
+    Vertex,
     VertexKind,
     combine_subnetwork_scores,
     edge_weight,
     enumerate_paths,
     neighbor_weight_vector,
+    rebuild,
     resolve_now,
     screen_candidates,
     simtap,
@@ -27,7 +29,7 @@ from tapmerge import (
     threshold_groups,
 )
 from tapmerge.graph import GraphError, TemporalEdge, TimeInterval
-from tapmerge.screening import structure_error, write_candidates_csv
+from tapmerge.screening import CandidateSet, NameFilter, structure_error, write_candidates_csv
 from tapmerge.similarity import FutureEdgeError, TapPath, group_by_threshold, write_similarity_csv
 from tapmerge.testkit import (
     PlantMode,
@@ -415,6 +417,30 @@ def test_a_popular_entity_bucket_runs_in_memory_flat_in_its_pairs(tmp_path):
     assert peak < 2 * 2**20
 
 
+class Walked(Exception):
+    """Raised by a `CandidateSet` whose pairs must not be walked."""
+
+
+def test_grouping_walks_the_pairs_only_when_some_row_reaches_theta(monkeypatch):
+    bundle = hot_entity_bundle(50)
+    candidates = screen_candidates(bundle)
+    results = similarity_for_pairs(bundle, candidates, now=2010)
+    # one active subnetwork of four caps every score at 0.25
+    assert max(aggregate for _, aggregate in results.table) == 0.25
+
+    def walk(self):
+        raise Walked
+
+    # no writer has run: the table alone decides whether to walk
+    monkeypatch.setattr(CandidateSet, "__iter__", walk)
+    assert group_by_threshold(results, theta=0.8, now=2010).groups == []
+    assert threshold_groups(candidates, bundle, theta=0.8, now=2010).groups == []
+    with pytest.raises(Walked):
+        group_by_threshold(results, theta=0.25, now=2010)
+    with pytest.raises(Walked):
+        threshold_groups(candidates, bundle, theta=0.25, now=2010)
+
+
 # -- randomized properties ---------------------------------------------------
 
 
@@ -507,3 +533,42 @@ def test_class_scoring_equals_per_pair_scoring(bundle):
         assert list(result.scores) == expected
         assert result.aggregate == combine_subnetwork_scores(expected)
         assert (back.x, back.y, back.scores, back.aggregate) == (y, x, result.scores, result.aggregate)
+
+
+@st.composite
+def bundles_with_shared_names(draw):
+    """Clone bundles plus a popular-entity bucket, every person named one of 2-3 names.
+
+    The fans' one edge each goes to the popular entity in one of three
+    intervals, so their bucket holds a few classes of a few members.
+    """
+    bundle = draw(bundles_with_clones())
+    names = [f"name {i}" for i in range(draw(st.integers(2, 3)))]
+    people = [
+        Vertex(v.id, v.kind, v.type_label, draw(st.sampled_from(names)))
+        for v in bundle.vertices()
+        if v.kind is VertexKind.CHARACTER
+    ]
+    fans = [
+        Vertex(f"fan{i}", VertexKind.CHARACTER, "person", draw(st.sampled_from(names)))
+        for i in range(draw(st.integers(2, 10)))
+    ]
+    popular = Vertex("popular", VertexKind.ENTITY, "venue1", "popular paper")
+    beta = bundle.relation_types()[0]
+    edges = [
+        TemporalEdge(None, fan.id, popular.id, beta, TimeInterval(2003, 2003 + draw(st.integers(0, 2))))
+        for fan in fans
+    ]
+    entities = [v for v in bundle.vertices() if v.kind is VertexKind.ENTITY]
+    return rebuild([*entities, popular, *people, *fans], [*bundle.edges(), *edges], bundle.relation_types())
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundles_with_shared_names(), st.sampled_from(NameFilter))
+def test_candidate_class_pairs_are_the_class_pairs_of_the_candidates(bundle, name_filter):
+    now = 2019
+    candidates = screen_candidates(bundle, name_filter)
+    results = similarity_for_pairs(bundle, candidates, now)
+    key = {c: weight_class(bundle, c, now) for c in bundle.character_ids()}
+    assert len(results.table) == len({tuple(sorted((key[x], key[y]))) for x, y in list(candidates)})
+    assert list(results) == list(similarity_for_pairs(bundle, candidates.pair_ids(), now))
