@@ -57,7 +57,8 @@ class TimeInterval(namedtuple("TimeInterval", ("start", "end"))):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int) -> "TimeInterval":
-        if not isinstance(start, int) or not isinstance(end, int):
+        # a bool is an int to `isinstance`, but it would export as `True`
+        if not isinstance(start, int) or not isinstance(end, int) or isinstance(start, bool) or isinstance(end, bool):
             raise ValueError("interval bounds must be integers")
         if start < 0 or end < 0:
             raise ValueError(f"interval bounds must be non-negative: [{start}, {end}]")

@@ -17,6 +17,7 @@ import csv
 import json
 import re
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -252,10 +253,8 @@ def export_records_csv(bundle: NetworkBundle, path: str | Path) -> None:
     entities = csv_fields(lambda entity: (bundle.vertex(entity).display_name, bundle.vertex(entity).type_label))
     # a relation type is never empty, so its one field renders as in any row
     relation_types = csv_fields(lambda relation_type: (relation_type,))
-    edges = sorted(
-        bundle.edges(),
-        key=lambda e: (e.character, e.relation_type, e.entity, e.interval.start, e.interval.end, e.relation_id),
-    )
+    # an interval sorts as its (start, end) tuple
+    edges = sorted(bundle.edges(), key=attrgetter("character", "relation_type", "entity", "interval", "relation_id"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(RECORDS_HEADER)
         fh.writelines(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 from enum import Enum
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator, NamedTuple
 
@@ -86,18 +87,24 @@ def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
     return StructureError(x, y, value, degree_x, degree_y, shared, per_beta)
 
 
+# the most pairs in one run of `CandidateSet.runs`
+_RUN_LENGTH = 256
+
+
 class CandidateSet:
     """Unordered character pairs with structure error zero, kept as their buckets.
 
     Each of `buckets` holds two or more characters in id order, and
     every pair inside a bucket is a candidate, except that a pair whose
     display names are equal in `names` is skipped; `names` is None
-    unless the different-name filter applies. Iterating yields the
-    pairs sorted by id, walking the buckets again each time; `count` is
-    their number. `class_pairs` lists the class pairs they join from the
-    buckets alone, and `similarity_for_pairs` scores all of them before
-    it returns. `bucket_count` and `largest_bucket` describe the
-    signature buckets before any name filter.
+    unless the different-name filter applies. `runs` yields the pairs
+    one run at a time, a character and the members it pairs with, and
+    the writers consume them that way; iterating yields the same pairs
+    one by one, sorted by id. Both walk the buckets again each time;
+    `count` is the number of pairs. `class_pairs` lists the class pairs
+    they join from the buckets alone, and `similarity_for_pairs` scores
+    all of them before it returns. `bucket_count` and `largest_bucket`
+    describe the signature buckets before any name filter.
     """
 
     def __init__(
@@ -109,18 +116,30 @@ class CandidateSet:
         self.bucket_count = bucket_count
         self.largest_bucket = largest_bucket
 
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        # a character sits in one bucket, so its pairs are the members after
-        # it there; visiting the characters in id order sorts all pairs
-        where = {x: (members, i) for members in self.buckets for i, x in enumerate(members)}
-        return chain.from_iterable(self._pairs_from(x, *where[x]) for x in sorted(where))
+    def runs(self) -> Iterator[tuple[str, list[str]]]:
+        """Each bucketed character in id order, with the later members of its bucket it pairs with.
 
-    def _pairs_from(self, x: str, members: list[str], i: int) -> Iterator[tuple[str, str]]:
-        later = members[i + 1 :]
-        if self.names is not None:
-            name = self.names[x]
-            later = [y for y in later if self.names[y] != name]
-        return zip(repeat(x), later)
+        A character sits in one bucket, so its pairs are the members
+        after it there, less those of equal name under the
+        different-name filter; visiting the characters in id order sorts
+        all pairs. A character with no such member yields no run, and
+        one with more than `_RUN_LENGTH` yields consecutive runs of at
+        most that many, so a writer's text for one run stays small
+        however large the bucket.
+        """
+        where = {x: (members, i) for members in self.buckets for i, x in enumerate(members)}
+        names = self.names
+        for x in sorted(where):
+            members, i = where[x]
+            later = members[i + 1 :]
+            if names is not None:
+                name = names[x]
+                later = [y for y in later if names[y] != name]
+            for start in range(0, len(later), _RUN_LENGTH):
+                yield x, later[start : start + _RUN_LENGTH]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return chain.from_iterable(zip(repeat(x), later) for x, later in self.runs())
 
     def class_pairs(self, class_of: dict[str, int]) -> Iterator[tuple[int, int]]:
         """Each unordered pair of classes that some candidate pair joins, once per bucket it is met in.
@@ -151,22 +170,24 @@ class CandidateSet:
 def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
     """Characters grouped by equal (relation_type, entity) -> edge count maps.
 
-    One pass over the edges builds every character's map; each map is
-    dropped once its signature is built. Members are in id order;
-    zero-degree characters have no map and join no bucket.
+    A character's signature is, for each subnetwork it has edges in, the
+    relation type and the sorted entities of its edges there, repeats
+    kept: two signatures are equal exactly when the count maps are. Each
+    is built from the character's own edge lists, in id order, so no
+    per-edge map is held. Members are in id order; zero-degree
+    characters have an empty signature and join no bucket.
     """
-    counts: dict[str, dict[tuple[str, str], int]] = {}
-    for edge in bundle.edges():
-        own = counts.get(edge.character)
-        if own is None:
-            own = counts[edge.character] = {}
-        key = (edge.relation_type, edge.entity)
-        own[key] = own.get(key, 0) + 1
-    buckets: dict[frozenset, list[str]] = {}
+    paths = [(tan.relation_type, tan._by_character) for tan in bundle.subnetworks()]
+    entity = itemgetter(2)
+    buckets: dict[tuple, list[str]] = {}
     for character in bundle.character_ids():
-        own = counts.pop(character, None)
-        if own is not None:
-            buckets.setdefault(frozenset(own.items()), []).append(character)
+        signature = tuple([
+            (beta, tuple(sorted(map(entity, path))))
+            for beta, by_character in paths
+            if (path := by_character.get(character))
+        ])
+        if signature:
+            buckets.setdefault(signature, []).append(character)
     return list(buckets.values())
 
 
@@ -247,8 +268,15 @@ def character_fields(bundle: NetworkBundle) -> Memo:
 
 
 def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: str | Path) -> None:
+    """One row per candidate pair, in id order, written one run at a time.
+
+    A run's rows all start with its character's `id,name,`, so each run
+    is written as one string: that head before each member's row tail.
+    """
     fields = character_fields(bundle)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
-        # equal signatures give 2*shared == degree_x + degree_y, so every error is exactly 0.0
-        fh.writelines(f"{fields[x]},{fields[y]},0.0000\r\n" for x, y in candidates)
+        for x, later in candidates.runs():
+            head = fields[x] + ","
+            # equal signatures give 2*shared == degree_x + degree_y, so every error is exactly 0.0
+            fh.write(head + head.join([f"{fields[y]},0.0000\r\n" for y in later]))

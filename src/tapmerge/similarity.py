@@ -35,7 +35,8 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterator, Sequence
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -316,18 +317,28 @@ def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str |
     """One row per pair, one column per subnetwork in declaration order.
 
     The table already holds every class pair's row, so each row's score
-    columns are rendered once, before the walk over the pairs.
+    columns are rendered once, before the walk over the pairs. The
+    pairs are written one run at a time: a character and the members it
+    pairs with, whose rows all start with its `id,name,`. A
+    `CandidateSet` gives its runs; a list of pairs is cut into runs of
+    equal first members.
     """
     fields = character_fields(bundle)
     row_of, class_of, n = results.row_of, results.class_of, len(results.class_of)
-    cols = [",".join([f"{value:.4f}" for value in (*scores, aggregate)]) for scores, aggregate in results.table]
+    # "%.4f" renders a float exactly as f"{value:.4f}" does
+    score_format = ",".join(["%.4f"] * (len(bundle.relation_types()) + 1)) + "\r\n"
+    cols = [score_format % (*scores, aggregate) for scores, aggregate in results.table]
+    pairs = results.pairs
+    if isinstance(pairs, CandidateSet):
+        runs = pairs.runs()
+    else:
+        runs = ((x, [y for _, y in run]) for x, run in groupby(pairs, itemgetter(0)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
-        # `PairScores.row` written out: a call per pair would cost a third of the write
-        fh.writelines(
-            f"{fields[x]},{fields[y]},{cols[row_of[class_of[x] * n + class_of[y]]]}\r\n"
-            for x, y in results.pairs
-        )
+        for x, later in runs:
+            head, row = fields[x] + ",", class_of[x] * n
+            # `PairScores.row` written out: a call per pair would cost a third of the write
+            fh.write(head + head.join([f"{fields[y]},{cols[row_of[row + class_of[y]]]}" for y in later]))
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

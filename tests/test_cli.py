@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tapmerge import NetworkBundle, load
+from tapmerge import NetworkBundle, export, load
+from tapmerge import cli
 from tapmerge.cli import main
+from tapmerge.testkit import PlantMode, RandomBundleSpec, generate, plant_duplicates
 
 from conftest import DATA_DIR, SCHOLARS_CSV, SCHOLARS_MANIFEST
 
@@ -307,3 +314,55 @@ def test_malformed_manifest_exits_one_with_one_error_line(tmp_path, caplog, docu
     assert run("ingest", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 1
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("ERROR", f"{manifest.resolve()}: {message}")]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["caller collects", "caller disabled the collector"])
+def test_every_exit_code_restores_the_callers_collector_setting(tmp_path, monkeypatch, collecting):
+    seen = []
+    screen = cli.screen_candidates
+    monkeypatch.setattr(cli, "screen_candidates", lambda *args: seen.append(gc.isenabled()) or screen(*args))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run("dedupe", *base_args(tmp_path / "ok"), "--theta", "0.8", "--now", "2014") == 0
+        assert gc.isenabled() is collecting
+        assert run("dedupe", *base_args(tmp_path / "bad"), "--theta", "1.5") == 1
+        assert gc.isenabled() is collecting
+        assert run("screen", "--records", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")) == 2
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+def test_repeated_runs_freeze_the_heap_once_at_exit(tmp_path):
+    # a child process, so its exit can be watched: `gc.freeze` is replaced
+    # before the CLI is imported, and reports each call
+    script = f"""
+import gc, sys
+gc.freeze = lambda: print("frozen", gc.isenabled())
+from tapmerge.cli import main
+for i in range(3):
+    assert main(["ingest", "--records", {str(SCHOLARS_CSV)!r}, "--out", {str(tmp_path)!r} + f"/{{i}}"]) == 0
+print("returned", gc.isenabled())
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["returned True", "frozen True"]
+
+
+def test_a_run_leaves_no_cyclic_garbage_that_grows_with_its_input(tmp_path):
+    def garbage_after_dedupe(label: str, people: int) -> int:
+        spec = RandomBundleSpec(characters=people, entities_per_type=people // 4, relation_types=3, seed=5)
+        bundle, _ = plant_duplicates(generate(spec), people // 10, PlantMode.EXACT_CLONE, seed=1)
+        work = tmp_path / label
+        work.mkdir()
+        export(bundle, "records-csv", work / "records.csv")
+        gc.collect()
+        assert run("dedupe", "--records", str(work / "records.csv"), "--out", str(work / "out"), "--theta", "0.8") == 0
+        # the collector is off during the run, so this finds all it left
+        return gc.collect()
+
+    garbage_after_dedupe("warm-up", 40)  # the first run also fills caches that later runs reuse
+    assert garbage_after_dedupe("small", 40) == garbage_after_dedupe("large", 400)

@@ -48,6 +48,25 @@ def test_interval_rejects_inversion_and_negatives():
     assert TimeInterval(2000, 2004).duration == 5
 
 
+def test_bool_bounds_are_not_integers(club):
+    # `isinstance(True, int)` holds, but an edge with a bool bound exports
+    # `True` as its start, which `load` rejects
+    with pytest.raises(ValueError, match="must be integers"):
+        TimeInterval(True, 3)
+    with pytest.raises(ValueError, match="must be integers"):
+        TimeInterval(1, False)
+    with pytest.raises(ValueError, match="must be integers"):
+        TimeInterval(1, 3)._replace(start=True)
+    bundle = person_and_entity()
+    # the shared (1, 3) interval equals (True, 3) as a key, and must not let it through
+    bundle.add_edge("c1", "e1", "study", (1, 3))
+    with pytest.raises(ValueError, match="must be integers"):
+        bundle.add_edge("c1", "e1", "study", (True, 3))
+    edge = next(club.bundle.edges())
+    with pytest.raises(ValueError, match="must be integers"):
+        rebuild(club.bundle.vertices(), [edge._replace(interval=(2000, True))], club.bundle.relation_types())
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -22,7 +23,7 @@ from tapmerge import (
 )
 from tapmerge.graph import GraphError
 from tapmerge.ingest import TransactionRecord
-from tapmerge.screening import NameFilter, write_candidates_csv
+from tapmerge.screening import _RUN_LENGTH, NameFilter, write_candidates_csv
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 
@@ -225,6 +226,10 @@ def assert_screen_matches_brute_force(bundle: NetworkBundle, name_filter: NameFi
     # every walk generates the pairs again from the buckets
     assert candidates.pair_ids() == expected
     assert len(candidates) == len(expected)
+    # the writers' walk: runs of one character and some of the later ones it pairs with
+    runs = list(candidates.runs())
+    assert [(x, y) for x, later in runs for y in later] == expected
+    assert all(0 < len(later) <= _RUN_LENGTH for _, later in runs)
 
 
 @pytest.mark.parametrize("name_filter", list(NameFilter))
@@ -232,6 +237,22 @@ def test_bucketed_screening_equals_brute_force(name_filter):
     bundle = interleaved_buckets()
     assert_screen_matches_brute_force(bundle, name_filter)
     assert len(screen_candidates(bundle, name_filter)) > 0
+
+
+def test_screening_holds_no_per_edge_count_maps():
+    # 2,000 people with about 12,000 edges; one (relation type, entity) ->
+    # count dict per person, all alive until bucketing ends, peaked at 2.7 MB
+    bundle = generate(RandomBundleSpec(characters=2000, entities_per_type=500, relation_types=4, seed=3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        candidates = screen_candidates(bundle)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert candidates.bucket_count == 1991
+    assert peak < 1.6 * 2**20
 
 
 def test_bucket_counts_cover_every_character_with_an_edge():

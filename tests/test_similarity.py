@@ -29,7 +29,7 @@ from tapmerge import (
     threshold_groups,
 )
 from tapmerge.graph import GraphError, TemporalEdge, TimeInterval
-from tapmerge.screening import CandidateSet, NameFilter, structure_error, write_candidates_csv
+from tapmerge.screening import _RUN_LENGTH, CandidateSet, NameFilter, structure_error, write_candidates_csv
 from tapmerge.similarity import FutureEdgeError, TapPath, group_by_threshold, write_similarity_csv
 from tapmerge.testkit import (
     PlantMode,
@@ -255,13 +255,13 @@ AWKWARD_NAMES = [
 ]
 
 
-def awkward_names_bundle() -> NetworkBundle:
+def awkward_names_bundle(names: list[str] = AWKWARD_NAMES) -> NetworkBundle:
     """One signature bucket of awkwardly named people; their intervals differ."""
     bundle = NetworkBundle()
     for beta in ("member", "coauthor"):
         bundle.declare_relation_type(beta)
     club_ = bundle.add_vertex(VertexKind.ENTITY, "club", "club")
-    for i, name in enumerate(AWKWARD_NAMES):
+    for i, name in enumerate(names):
         person = bundle.add_vertex(VertexKind.CHARACTER, "person", name)
         bundle.add_edge(person, club_, "member", (2000 + i % 4, 2003 + i % 3))
     return bundle.seal()
@@ -286,12 +286,43 @@ def test_writers_match_a_csv_writer_reference(tmp_path):
     assert (tmp_path / "candidates.csv").read_bytes() == csv_reference(expected)
 
     write_similarity_csv(bundle, results, tmp_path / "similarity.csv")
-    expected = [["x_id", "x_name", "y_id", "y_name", "member", "coauthor", "simtap"]]
+    assert (tmp_path / "similarity.csv").read_bytes() == similarity_reference(bundle, results)
+
+    # written from a `CandidateSet` one run at a time: one bucket with repeated
+    # names, and one whose first members pair with more than one run's length;
+    # each bundle is one signature bucket, so its candidates are every pair
+    # the name filter keeps
+    same_name_kept = {NameFilter.OFF: {True, False}, NameFilter.SAME_NAME: {True}, NameFilter.DIFFERENT_NAME: {False}}
+    for screened in (awkward_names_bundle([*AWKWARD_NAMES, "plain", "", "plain"]), hot_entity_bundle(_RUN_LENGTH + 40)):
+        ids = screened.character_ids()
+        name = {c: screened.vertex(c).display_name for c in ids}
+        for name_filter, kept in same_name_kept.items():
+            pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :] if (name[x] == name[y]) in kept]
+            candidates = screen_candidates(screened, name_filter)
+            write_candidates_csv(screened, candidates, tmp_path / "candidates.csv")
+            expected = [["x_id", "x_name", "y_id", "y_name", "structure_error"]]
+            expected += [[x, name[x], y, name[y], "0.0000"] for x, y in pairs]
+            assert (tmp_path / "candidates.csv").read_bytes() == csv_reference(expected), name_filter
+            results = similarity_for_pairs(screened, candidates, now=2010)
+            write_similarity_csv(screened, results, tmp_path / "similarity.csv")
+            reference = similarity_reference(screened, similarity_for_pairs(screened, pairs, now=2010))
+            assert (tmp_path / "similarity.csv").read_bytes() == reference, name_filter
+
+    # a list whose runs of equal first members are not contiguous
+    a, b, c, d = bundle.character_ids()[:4]
+    results = similarity_for_pairs(bundle, [(a, c), (b, c), (a, d)], now=2010)
+    write_similarity_csv(bundle, results, tmp_path / "similarity.csv")
+    assert (tmp_path / "similarity.csv").read_bytes() == similarity_reference(bundle, results)
+
+
+def similarity_reference(bundle: NetworkBundle, results) -> bytes:
+    name = {c: bundle.vertex(c).display_name for c in bundle.character_ids()}
+    expected = [["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"]]
     expected += [
-        [r.x, name[r.x], r.y, name[r.y], f"{r.scores[0]:.4f}", f"{r.scores[1]:.4f}", f"{r.aggregate:.4f}"]
+        [r.x, name[r.x], r.y, name[r.y], *[f"{value:.4f}" for value in r.scores], f"{r.aggregate:.4f}"]
         for r in results
     ]
-    assert (tmp_path / "similarity.csv").read_bytes() == csv_reference(expected)
+    return csv_reference(expected)
 
 
 def test_similarity_csv_without_subnetworks_keeps_the_aggregate_column(tmp_path):
