@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .graph import GraphError, NetworkBundle, VertexKind
@@ -183,40 +184,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tapmerge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(
+        name: str,
+        summary: str,
+        func: Callable[[argparse.Namespace], int],
+        *,
+        now: bool = False,
+        name_filter: bool = False,
+    ) -> argparse.ArgumentParser:
+        """A subcommand with the input and output flags, and the `--now` and `--name-filter` it reads."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--records", type=_absolute, required=True, help="activity records CSV")
         p.add_argument("--manifest", type=_absolute, default=None, help="dataset manifest JSON")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--strict", action="store_true", help="malformed or undeclared rows are fatal")
-        p.add_argument("--now", type=int, default=None, help="time anchor (default: latest end time)")
-        p.add_argument(
-            "--name-filter", choices=[f.value for f in NameFilter], default=NameFilter.OFF.value,
-            help="restrict screening to same-name or different-name pairs",
-        )
-        p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
+        if now:
+            p.add_argument("--now", type=int, default=None, help="time anchor (default: latest end time)")
+        if name_filter:
+            p.add_argument(
+                "--name-filter", choices=[f.value for f in NameFilter], default=NameFilter.OFF.value,
+                help="restrict screening to same-name or different-name pairs",
+            )
+        p.set_defaults(func=func)
+        return p
 
-    p_ingest = sub.add_parser("ingest", help="load and validate records, write the load report")
-    common(p_ingest)
-    p_ingest.set_defaults(func=cmd_ingest)
+    command("ingest", "load and validate records, write the load report", cmd_ingest)
+    command("screen", "write structure-error candidate pairs", cmd_screen, name_filter=True)
 
-    p_screen = sub.add_parser("screen", help="write structure-error candidate pairs")
-    common(p_screen)
-    p_screen.set_defaults(func=cmd_screen)
-
-    p_simtap = sub.add_parser("simtap", help="write path similarity for candidates or one pair")
-    common(p_simtap)
+    p_simtap = command(
+        "simtap", "write path similarity for candidates or one pair", cmd_simtap, now=True, name_filter=True
+    )
     p_simtap.add_argument("--pair", default=None, help="comma-separated vertex ids or names")
-    p_simtap.set_defaults(func=cmd_simtap)
 
-    p_dedupe = sub.add_parser("dedupe", help="full pipeline: screen, confirm, merge")
-    common(p_dedupe)
+    p_dedupe = command("dedupe", "full pipeline: screen, confirm, merge", cmd_dedupe, now=True, name_filter=True)
     p_dedupe.add_argument("--theta", type=float, default=None, help="similarity threshold in (0, 1]")
-    p_dedupe.set_defaults(func=cmd_dedupe)
+    p_dedupe.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
 
-    p_export = sub.add_parser("export", help="re-emit the loaded bundle in another format")
-    common(p_export)
+    p_export = command("export", "re-emit the loaded bundle in another format", cmd_export)
     p_export.add_argument("--format", choices=EXPORT_FORMATS, required=True)
-    p_export.set_defaults(func=cmd_export)
     return parser
 
 
@@ -244,8 +249,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("dedupe requires --theta")
             if not 0 < args.theta <= 1:
                 raise ValueError(f"--theta must be in (0, 1], got {args.theta}")
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+            if args.workers < 1:
+                raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (IngestError, GraphError, ValueError) as exc:
         log.error("%s", exc)

@@ -253,8 +253,8 @@ class NetworkBundle:
         self._intervals.clear()
         return self
 
-    def _derive(self, absorbed: dict[str, str], dropped: set[str]) -> "NetworkBundle":
-        """A sealed bundle without the `absorbed` characters, sharing all they do not touch.
+    def _derive(self, absorbed: dict[str, str], dropped: set[str]) -> tuple["NetworkBundle", int]:
+        """A sealed bundle without the `absorbed` characters, and the number of edges it re-filed.
 
         `absorbed` maps each removed character to its representative, a
         character not itself absorbed, as :func:`apply_merge` checks. An
@@ -269,6 +269,7 @@ class NetworkBundle:
         if not self._sealed:
             raise GraphError("derive from an unsealed bundle; seal it first")
         derived = NetworkBundle()
+        transferred = 0
         derived._vertices = self._vertices.copy()
         for character in absorbed:
             del derived._vertices[character]
@@ -291,6 +292,7 @@ class NetworkBundle:
                         continue
                     edge = TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
                     character = representative
+                    transferred += 1
                 edges.append(edge)
                 path = rebuilt.get(character)
                 if path is not None:
@@ -298,7 +300,7 @@ class NetworkBundle:
             by_character.update((character, path) for character, path in rebuilt.items() if path)
             network = derived._subnetworks[relation_type] = TemporalActivityNetwork(relation_type)
             network._edges, network._by_character = edges, by_character
-        return derived.seal()
+        return derived.seal(), transferred
 
     def changed_paths(self, other: "NetworkBundle") -> set[str]:
         """Characters whose edge list in some subnetwork differs from their list in `other`.

@@ -1,6 +1,7 @@
 """Load activity records from flat files and export bundles back out.
 
-The record schema is a flat UTF-8 CSV with header
+The record schema is a flat UTF-8 CSV, with or without a byte-order
+mark, with header
 
     character_id,character_name,entity_name,entity_type,relation_type,start,end
 
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import NetworkBundle, TemporalEdge, TimeInterval, VertexKind
-from .screening import character_fields, csv_fields
+from .screening import Memo, csv_fields, csv_text
 
 RECORDS_HEADER = ["character_id", "character_name", "entity_name", "entity_type", "relation_type", "start", "end"]
 
@@ -58,7 +59,8 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetManifest":
-        with open(path, encoding="utf-8") as fh:
+        # `utf-8-sig` also reads a file that starts with a byte-order mark
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise IngestError(f"{path}: a manifest must be a JSON object")
@@ -222,7 +224,8 @@ def load(
     """
     manifest = DatasetManifest.from_json(manifest_path) if manifest_path else DatasetManifest()
     report = LoadReport()
-    with open(records_path, newline="", encoding="utf-8") as fh:
+    # `utf-8-sig` also reads a file that starts with a byte-order mark, as spreadsheet exports do
+    with open(records_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         # the first line is the header even when it is blank; an empty file has none
         header = next(reader, None)
@@ -244,24 +247,34 @@ def load(
 def export_records_csv(bundle: NetworkBundle, path: str | Path) -> None:
     """Write a record list that reloads to an isomorphic bundle.
 
-    Rows are sorted by character, relation type, entity, interval and
-    relation id. Each vertex's and relation type's CSV fields are
-    rendered once by a default-dialect `csv.writer`, so every row equals
-    the one that writer would write.
+    Rows are sorted by character, relation type, entity and interval;
+    rows equal in all four are equal. Characters are written one at a
+    time in id order, so only one character's edges are sorted at once,
+    and each character's rows are written as one string. Each vertex's,
+    relation type's and interval's CSV fields are rendered once, by a
+    default-dialect `csv.writer` for the text fields, so every row
+    equals the one that writer would write.
     """
-    characters = character_fields(bundle)
     entities = csv_fields(lambda entity: (bundle.vertex(entity).display_name, bundle.vertex(entity).type_label))
+    spans = Memo(lambda interval: f"{interval.start},{interval.end}")
     # a relation type is never empty, so its one field renders as in any row
-    relation_types = csv_fields(lambda relation_type: (relation_type,))
+    paths = [
+        (csv_text((relation_type,)), bundle.subnetwork(relation_type)._by_character)
+        for relation_type in sorted(bundle.relation_types())
+    ]
     # an interval sorts as its (start, end) tuple
-    edges = sorted(bundle.edges(), key=attrgetter("character", "relation_type", "entity", "interval", "relation_id"))
+    order = attrgetter("entity", "interval")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(RECORDS_HEADER)
-        fh.writelines(
-            f"{characters[e.character]},{entities[e.entity]},{relation_types[e.relation_type]},"
-            f"{e.interval.start},{e.interval.end}\r\n"
-            for e in edges
-        )
+        for character in sorted(bundle.vertices(VertexKind.CHARACTER), key=attrgetter("id")):
+            tails = [
+                f"{entities[e.entity]},{relation_type},{spans[e.interval]}\r\n"
+                for relation_type, by_character in paths
+                for e in sorted(by_character.get(character.id, ()), key=order)
+            ]
+            if tails:
+                head = csv_text((character.id, character.display_name)) + ","
+                fh.write(head + head.join(tails))
 
 
 def _write_json_records(fh: IO[str], records: Iterable[str]) -> None:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import GraphError, NetworkBundle, TemporalEdge, VertexKind
 
-Disposition = Literal["drop-as-duplicate", "transfer-to-representative"]
 _Fact = tuple[str, str, int, int]  # (entity, relation type, start, end)
 
 
@@ -30,15 +29,12 @@ class StalePlanError(MergeError):
     """The plan was built against a different bundle."""
 
 
-class EdgeDisposition(NamedTuple):
-    relation_id: str
-    action: Disposition
-
-
 class GroupPlan(NamedTuple):
     representative: str
     absorbed: tuple[str, ...]
-    dispositions: dict[str, tuple[EdgeDisposition, ...]]
+    # sorted relation ids of the absorbed edges whose fact the group already
+    # holds; every other edge of an absorbed member transfers
+    dropped: tuple[str, ...]
 
 
 class MergePlan(NamedTuple):
@@ -112,7 +108,7 @@ def _fact_index(bundle: NetworkBundle, characters: Iterable[str]) -> dict[str, l
 
 
 def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergePlan:
-    """Decide, per group, who survives and what happens to each absorbed edge.
+    """Decide, per group, who survives and which absorbed edges are dropped.
 
     Absorbed vertices are processed in id order; a transferred fact
     counts as already present for the next duplicate of it, so the
@@ -135,17 +131,14 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
         representative, absorbed = group[0], tuple(group[1:])
         index = _fact_index(bundle, group)
         known_facts = {fact for fact, _ in index.get(representative, ())}
-        dispositions: dict[str, tuple[EdgeDisposition, ...]] = {}
+        dropped = []
         for duplicate in absorbed:
-            decided = []
             for fact, relation_id in index.get(duplicate, ()):
                 if fact in known_facts:
-                    decided.append(EdgeDisposition(relation_id, "drop-as-duplicate"))
+                    dropped.append(relation_id)
                 else:
                     known_facts.add(fact)
-                    decided.append(EdgeDisposition(relation_id, "transfer-to-representative"))
-            dispositions[duplicate] = tuple(decided)
-        plans.append(GroupPlan(representative, absorbed, dispositions))
+        plans.append(GroupPlan(representative, absorbed, tuple(sorted(dropped))))
     return MergePlan(groups=plans, source=bundle)
 
 
@@ -160,7 +153,8 @@ def _require_character(bundle: NetworkBundle, vertex_id: str, role: str) -> None
 def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     """Produce the corrected bundle with every absorbed vertex removed.
 
-    Every group member must be a character of `bundle`. Only the group
+    Every group member must be a character of `bundle`, and every
+    dropped relation id an edge of an absorbed member. Only the group
     members' edges are visited: the result shares every subnetwork, edge
     list and edge that no absorbed vertex touches with `bundle`. The
     content digests are compared, and so computed, only when `bundle` is
@@ -171,7 +165,6 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
 
     mapping: dict[str, str] = {}
     dropped: set[str] = set()
-    transferred = 0
     for group in plan.groups:
         _require_character(bundle, group.representative, "representative")
         for duplicate in group.absorbed:
@@ -179,27 +172,23 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
             if duplicate in mapping:
                 raise MergeError(f"vertex {duplicate!r} appears in more than one group")
             mapping[duplicate] = group.representative
-            actions = {d.relation_id: d.action for d in group.dispositions.get(duplicate, ())}
-            for tan in bundle.subnetworks():
-                for edge in tan.edges_of_character(duplicate):
-                    action = actions.get(edge.relation_id)
-                    if action is None:
-                        raise StalePlanError(f"edge {edge.relation_id!r} of an absorbed vertex has no disposition")
-                    if action == "drop-as-duplicate":
-                        dropped.add(edge.relation_id)
-                    else:
-                        transferred += 1
+        dropped.update(group.dropped)
     for group in plan.groups:
         if group.representative in mapping:
             raise StalePlanError(f"representative {group.representative!r} is absorbed by another group")
 
+    merged, transferred = bundle._derive(mapping, dropped)
+    # relation ids are unique, so each dropped id that is an absorbed edge removes one edge
+    unknown = len(dropped) - (bundle.edge_count - merged.edge_count)
+    if unknown:
+        raise StalePlanError(f"{unknown} of the plan's {len(dropped)} dropped relation ids are no absorbed edge")
     audit = MergeAudit(
         removed_vertices=len(mapping),
         dropped_edges=len(dropped),
         transferred_edges=transferred,
         mapping=mapping,
     )
-    return MergedNetwork(bundle=bundle._derive(mapping, dropped), audit=audit)
+    return MergedNetwork(bundle=merged, audit=audit)
 
 
 def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequence[str]) -> dict[str, set]:
@@ -254,20 +243,17 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
     after_index = _fact_index(after, [*checked, *representatives])
     expected_facts = {vid: [fact for fact, _ in before_index.get(vid, ())] for vid in checked}
     for group in plan.groups:
-        for duplicate in group.absorbed:
-            facts = {relation_id: fact for fact, relation_id in before_index.get(duplicate, ())}
-            for disposition in group.dispositions.get(duplicate, ()):
-                if disposition.action != "transfer-to-representative":
-                    continue
-                if disposition.relation_id not in facts:
-                    report.add(
-                        "neighbor degree mismatch",
-                        f"plan transfers {disposition.relation_id}, which is not an edge of {duplicate}",
-                    )
-                elif group.representative in expected_facts:
-                    # a representative that is no surviving character of `before`
-                    # has no expected facts; the checks below report it
-                    expected_facts[group.representative].append(facts[disposition.relation_id])
+        dropped = set(group.dropped)
+        absorbed_facts = [entry for duplicate in group.absorbed for entry in before_index.get(duplicate, ())]
+        for relation_id in sorted(dropped.difference(relation_id for _, relation_id in absorbed_facts)):
+            report.add(
+                "neighbor degree mismatch",
+                f"plan drops {relation_id}, which is not an edge of an absorbed vertex of {group.representative}",
+            )
+        # a representative that is no surviving character of `before`
+        # has no expected facts; the checks below report it
+        if group.representative in expected_facts:
+            expected_facts[group.representative] += [fact for fact, rid in absorbed_facts if rid not in dropped]
     for vid, expected in expected_facts.items():
         post = [fact for fact, _ in after_index.get(vid, ())]
         if sorted(expected) != post:

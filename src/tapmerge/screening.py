@@ -249,8 +249,11 @@ class _Echo:
         return text
 
 
-def csv_fields(fields_of: Callable[[Hashable], tuple]) -> Memo:
-    """`cache[key]` is the CSV text of the fields `fields_of(key)`, without a line end.
+_render_row = csv.writer(_Echo()).writerow
+
+
+def csv_text(fields: tuple) -> str:
+    """The CSV text of `fields`, without a line end.
 
     A default-dialect `csv.writer` renders them, and it quotes field by
     field, so the text equals those fields of any row it writes. Its
@@ -258,8 +261,12 @@ def csv_fields(fields_of: Callable[[Hashable], tuple]) -> Memo:
     `\\r` or `\\n`: rendering with `lineterminator=""` would not. The
     one exception is a lone empty field, which renders as `""`.
     """
-    writerow = csv.writer(_Echo()).writerow
-    return Memo(lambda key: writerow(fields_of(key))[:-2])
+    return _render_row(fields)[:-2]
+
+
+def csv_fields(fields_of: Callable[[Hashable], tuple]) -> Memo:
+    """`cache[key]` is `csv_text(fields_of(key))`, computed on first use."""
+    return Memo(lambda key: csv_text(fields_of(key)))
 
 
 def character_fields(bundle: NetworkBundle) -> Memo:

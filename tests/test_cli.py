@@ -227,7 +227,7 @@ def test_an_edge_after_now_fails_before_any_data_file_is_written(tmp_path, caplo
     [
         (["dedupe", "--theta", "0"], "--theta must be in (0, 1], got 0.0"),
         (["dedupe", "--theta", "1.5"], "--theta must be in (0, 1], got 1.5"),
-        (["screen", "--workers", "0"], "--workers must be at least 1, got 0"),
+        (["dedupe", "--theta", "0.8", "--workers", "0"], "--workers must be at least 1, got 0"),
         # --theta is checked before --workers
         (["dedupe", "--theta", "5", "--workers", "0"], "--theta must be in (0, 1], got 5.0"),
     ],
@@ -238,6 +238,39 @@ def test_flag_validation_exits_one_before_out_is_created(tmp_path, caplog, argv,
     assert run(*argv, *base_args(out)) == 1
     assert caplog.messages == [message]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        *((command, "--now", "2014") for command in ("ingest", "screen", "export")),
+        *((command, "--name-filter", "off") for command in ("ingest", "export")),
+        *((command, "--workers", "1") for command in ("ingest", "screen", "simtap", "export")),
+    ],
+)
+def test_a_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    extra = ["--format", "dot"] if command == "export" else []
+    with pytest.raises(SystemExit) as exited:
+        run(command, *base_args(out), *extra, flag, value)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_subcommand_lists_only_the_flags_it_reads():
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    inputs = ["--records", "--manifest", "--out", "--strict"]
+    assert {
+        name: [option for action in parser._actions if action.dest != "help" for option in action.option_strings]
+        for name, parser in subcommands.items()
+    } == {
+        "ingest": inputs,
+        "screen": [*inputs, "--name-filter"],
+        "simtap": [*inputs, "--now", "--name-filter", "--pair"],
+        "dedupe": [*inputs, "--now", "--name-filter", "--theta", "--workers"],
+        "export": [*inputs, "--format"],
+    }
 
 
 def test_simtap_pair_with_three_tokens_exits_one(tmp_path, caplog):

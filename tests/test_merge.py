@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tapmerge import NetworkBundle, TemporalEdge, Vertex, VertexKind, apply_merge, plan_merge, rebuild, verify_merge
 from tapmerge.graph import GraphError, TimeInterval
-from tapmerge.merge import EdgeDisposition, MergeError, StalePlanError
+from tapmerge.merge import MergeError, StalePlanError
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 from conftest import ClubNet
@@ -37,15 +39,12 @@ def test_plan_for_the_wu_pair_transfers_only_the_diverging_stint(scholars_bundle
     plan = plan_merge(scholars_bundle, [[faye, fei]])
     group = plan.groups[0]
     assert group.representative == min(faye, fei)
-    actions = {d.action for d in group.dispositions[max(faye, fei)]}
-    transfers = [
-        d for d in group.dispositions[max(faye, fei)] if d.action == "transfer-to-representative"
-    ]
-    assert actions == {"drop-as-duplicate", "transfer-to-representative"}
-    assert len(transfers) == 1
-    transferred = next(
-        e for e in scholars_bundle.edges() if e.relation_id == transfers[0].relation_id
-    )
+    assert group.absorbed == (max(faye, fei),)
+    absorbed_edges = [e for e in scholars_bundle.edges() if e.character == max(faye, fei)]
+    # every edge but one repeats a fact of the representative and is dropped
+    assert group.dropped == tuple(sorted(group.dropped))
+    assert set(group.dropped) < {e.relation_id for e in absorbed_edges}
+    (transferred,) = [e for e in absorbed_edges if e.relation_id not in group.dropped]
     assert scholars_bundle.vertex(transferred.entity).display_name == "Jinan Univ."
     assert (transferred.interval.start, transferred.interval.end) == (2000, 2000)
 
@@ -54,8 +53,17 @@ def test_exact_clones_drop_every_absorbed_edge():
     bundle = clone_trio_bundle()
     people = bundle.character_ids()
     plan = plan_merge(bundle, [people])
-    for absorbed in plan.groups[0].absorbed:
-        assert all(d.action == "drop-as-duplicate" for d in plan.groups[0].dispositions[absorbed])
+    absorbed = set(plan.groups[0].absorbed)
+    assert plan.groups[0].dropped == tuple(sorted(e.relation_id for e in bundle.edges() if e.character in absorbed))
+
+
+def test_a_plan_repr_lists_the_dropped_ids_in_order():
+    bundle = clone_trio_bundle()
+    plan = plan_merge(bundle, [bundle.character_ids()[::-1]])
+    dropped = tuple(f"r{i:06d}" for i in range(4, 10))
+    assert repr(plan) == (
+        f"MergePlan(groups=[GroupPlan(representative='c000001', absorbed=('c000002', 'c000003'), dropped={dropped!r})])"
+    )
 
 
 def test_empty_group_set_is_a_no_op(club: ClubNet):
@@ -204,20 +212,42 @@ def test_verification_reports_each_dangling_edge_in_edge_order(scholars_bundle, 
     ]
 
 
-def test_verification_reports_a_transfer_of_another_characters_edge(scholars_bundle, scholar_ids):
+def test_verification_reports_a_drop_of_another_characters_edge(scholars_bundle, scholar_ids):
     faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
     plan = plan_merge(scholars_bundle, [[faye, fei]])
     merged = apply_merge(scholars_bundle, plan).bundle
     group = plan.groups[0]
-    (absorbed,) = group.absorbed
     foreign = next(e.relation_id for e in scholars_bundle.edges() if e.character not in (faye, fei))
-    wrong = group._replace(
-        dispositions={absorbed: (*group.dispositions[absorbed], EdgeDisposition(foreign, "transfer-to-representative"))},
-    )
+    wrong = group._replace(dropped=tuple(sorted((*group.dropped, foreign))))
     report = verify_merge(scholars_bundle, merged, plan._replace(groups=[wrong]))
     assert [(v.kind, v.detail) for v in report.violations] == [
-        ("neighbor degree mismatch", f"plan transfers {foreign}, which is not an edge of {absorbed}"),
+        (
+            "neighbor degree mismatch",
+            f"plan drops {foreign}, which is not an edge of an absorbed vertex of {group.representative}",
+        ),
     ]
+
+
+def test_verification_reports_a_drop_listed_under_the_wrong_group(scholars_bundle, scholar_ids):
+    groups = [
+        [scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]],
+        [scholar_ids["ShaoJia Zhu"], scholar_ids["ShaoNan Zhu"]],
+    ]
+    plan = plan_merge(scholars_bundle, groups)
+    first, second = plan.groups
+    moved = second.dropped[0]
+    swapped = plan._replace(
+        groups=[first._replace(dropped=(*first.dropped, moved)), second._replace(dropped=second.dropped[1:])]
+    )
+    # the union of the dropped ids is unchanged, so the merge is the same
+    merged, reference = apply_merge(scholars_bundle, swapped), apply_merge(scholars_bundle, plan)
+    assert merged.audit == reference.audit
+    assert list(merged.bundle.edges()) == list(reference.bundle.edges())
+    report = verify_merge(scholars_bundle, merged.bundle, swapped)
+    assert (
+        "neighbor degree mismatch",
+        f"plan drops {moved}, which is not an edge of an absorbed vertex of {first.representative}",
+    ) in [(v.kind, v.detail) for v in report.violations]
 
 
 @pytest.mark.parametrize("representative", ["ghost", "entity"])
@@ -307,7 +337,7 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
     # an entity fails as it does in plan_merge, before any edge is visited
     with pytest.raises(MergeError) as planned:
         plan_merge(scholars_bundle, [[first.representative, entity]])
-    absorbs_an_entity = edited(first, absorbed=(entity,), dispositions={entity: ()})
+    absorbs_an_entity = edited(first, absorbed=(entity,), dropped=())
     entity_representative = edited(first, representative=entity)
     for hand_edited in (absorbs_an_entity, entity_representative):
         with pytest.raises(MergeError) as raised:
@@ -315,34 +345,57 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
         assert type(raised.value) is MergeError
         assert str(raised.value) == str(planned.value) == f"cannot merge non-character vertex {entity!r}"
     # used to be applied, leaving only verify_merge's "vertex count mismatch"
-    absorbs_a_missing_id = edited(
-        first, absorbed=(*first.absorbed, "ghost"), dispositions={**first.dispositions, "ghost": ()}
-    )
+    absorbs_a_missing_id = edited(first, absorbed=(*first.absorbed, "ghost"))
     with pytest.raises(StalePlanError) as raised:
         apply_merge(scholars_bundle, absorbs_a_missing_id)
     assert str(raised.value) == "absorbed vertex 'ghost' missing from bundle"
-    absorbs_the_other_representative = edited(
-        second,
-        absorbed=(*second.absorbed, first.representative),
-        dispositions={**second.dispositions, first.representative: ()},
-    )
+    absorbs_the_other_representative = edited(second, absorbed=(*second.absorbed, first.representative))
     with pytest.raises(StalePlanError):
         apply_merge(scholars_bundle, absorbs_the_other_representative)
 
 
+def test_a_plan_that_drops_an_edge_no_absorbed_vertex_has_fails_in_apply(scholars_bundle, scholar_ids):
+    faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
+    plan = plan_merge(scholars_bundle, [[faye, fei]])
+    (group,) = plan.groups
+    representative_edge = next(e.relation_id for e in scholars_bundle.edges() if e.character == group.representative)
+    outsider_edge = next(e.relation_id for e in scholars_bundle.edges() if e.character not in (faye, fei))
+    for foreign in (representative_edge, outsider_edge, "r999999"):
+        edited = plan._replace(groups=[group._replace(dropped=tuple(sorted((*group.dropped, foreign))))])
+        with pytest.raises(StalePlanError) as raised:
+            apply_merge(scholars_bundle, edited)
+        expected = f"1 of the plan's {len(group.dropped) + 1} dropped relation ids are no absorbed edge"
+        assert str(raised.value) == expected
+
+
+def test_an_absorbed_edge_the_plan_does_not_drop_transfers():
+    bundle = clone_trio_bundle()
+    plan = plan_merge(bundle, [bundle.character_ids()])
+    (group,) = plan.groups
+    keep_all = plan._replace(groups=[group._replace(dropped=())])
+    merged = apply_merge(bundle, keep_all)
+    assert merged.audit.dropped_edges == 0
+    assert merged.audit.transferred_edges == 6
+    assert merged.bundle.edge_count == bundle.edge_count == 9
+    assert {e.character for e in merged.bundle.edges()} == {group.representative}
+    # nothing was lost, so the referee accepts the plan as it is written
+    assert verify_merge(bundle, merged.bundle, keep_all).ok
+
+
 def rebuild_reference(bundle: NetworkBundle, plan) -> NetworkBundle:
-    """The merged bundle as `rebuild` assembles it: absorbed edges dropped or re-filed in place."""
-    mapping, actions = {}, {}
-    for group in plan.groups:
-        for duplicate in group.absorbed:
-            mapping[duplicate] = group.representative
-            actions.update((d.relation_id, d.action) for d in group.dispositions[duplicate])
+    """The merged bundle as `rebuild` assembles it from the plan.
+
+    An absorbed member's edge is left out when the plan lists it as
+    dropped, and otherwise kept in place under the representative.
+    """
+    mapping = {duplicate: group.representative for group in plan.groups for duplicate in group.absorbed}
+    dropped = {relation_id for group in plan.groups for relation_id in group.dropped}
     edges = []
     for edge in bundle.edges():
         representative = mapping.get(edge.character)
         if representative is None:
             edges.append(edge)
-        elif actions[edge.relation_id] == "transfer-to-representative":
+        elif edge.relation_id not in dropped:
             edges.append(edge._replace(character=representative))
     vertices = [v for v in bundle.vertices() if v.id not in mapping]
     return rebuild(vertices, edges, bundle.relation_types())
@@ -403,6 +456,99 @@ def test_apply_merge_equals_the_rebuild_reference_and_leaves_its_input_alone(sch
     assert transferred_from_three_member_groups > 0
 
 
+def merge_by_rule(bundle: NetworkBundle, groups) -> tuple[NetworkBundle, dict, dict[str, tuple[str, ...]]]:
+    """The merged bundle, its audit counts and each representative's sorted dropped ids, from the rule alone.
+
+    Each group of two or more collapses onto its smallest id. Taking the
+    absorbed edges in (member id, relation id) order, an edge is dropped
+    exactly when its (entity, relation type, interval) fact is held by
+    the representative or by an earlier absorbed edge, and otherwise
+    kept in place under the representative.
+    """
+    def fact(edge):
+        return edge.entity, edge.relation_type, edge.interval
+
+    mapping, dropped, dropped_by_group = {}, set(), {}
+    for group in groups:
+        representative, *absorbed = sorted(set(group))
+        held = {fact(e) for e in bundle.edges() if e.character == representative}
+        dropped_here = []
+        for edge in sorted(
+            (e for e in bundle.edges() if e.character in absorbed), key=lambda e: (e.character, e.relation_id)
+        ):
+            if fact(edge) in held:
+                dropped_here.append(edge.relation_id)
+            held.add(fact(edge))
+        mapping.update((member, representative) for member in absorbed)
+        dropped.update(dropped_here)
+        if absorbed:
+            dropped_by_group[representative] = tuple(sorted(dropped_here))
+    edges = [
+        edge if edge.character not in mapping else edge._replace(character=mapping[edge.character])
+        for edge in bundle.edges()
+        if edge.relation_id not in dropped
+    ]
+    vertices = [v for v in bundle.vertices() if v.id not in mapping]
+    counts = {
+        "removed_vertices": len(mapping),
+        "dropped_edges": len(dropped),
+        "transferred_edges": sum(1 for e in bundle.edges() if e.character in mapping) - len(dropped),
+        "mapping": mapping,
+    }
+    return rebuild(vertices, edges, bundle.relation_types()), counts, dropped_by_group
+
+
+@st.composite
+def planted_bundles_with_groups(draw):
+    """A `testkit` bundle with planted duplicates of one mode, grouped with their sources, and random groups.
+
+    Short histories over few entities make facts repeat: across people,
+    and as parallel edges of one person. The characters outside the
+    planted pairs are cut into random groups, some joined to a planted
+    pair.
+    """
+    spec = RandomBundleSpec(
+        characters=draw(st.integers(2, 10)),
+        entities_per_type=draw(st.integers(1, 3)),
+        relation_types=draw(st.integers(1, 3)),
+        edge_density=draw(st.sampled_from([0.5, 1.5, 3.0])),
+        interval_span=(2000, 2000 + draw(st.integers(0, 3))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    bundle = generate(spec)
+    mode = draw(st.sampled_from(PlantMode))
+    k = draw(st.integers(0, min(len(fully_active_characters(bundle)), 3)))
+    bundle, truth = plant_duplicates(bundle, k, mode, seed=draw(st.integers(0, 2**16)))
+    groups = [[p.original, p.clone] for p in truth]
+    planted = {member for group in groups for member in group}
+    rest = draw(st.permutations([c for c in bundle.character_ids() if c not in planted]))
+    while rest:
+        size = draw(st.integers(1, 4))
+        chunk, rest = list(rest[:size]), rest[size:]
+        if groups and draw(st.booleans()):
+            draw(st.sampled_from(groups)).extend(chunk)
+        else:
+            groups.append(chunk)
+    return bundle, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_bundles_with_groups())
+def test_apply_merge_of_a_plan_equals_a_rebuild_by_the_rule(case):
+    bundle, groups = case
+    plan = plan_merge(bundle, groups)
+    merged = apply_merge(bundle, plan)
+    expected, counts, dropped = merge_by_rule(bundle, groups)
+    assert {group.representative: group.dropped for group in plan.groups} == dropped
+    characters = bundle.character_ids()
+    assert list(merged.bundle.edges()) == list(expected.edges())
+    assert paths_of(merged.bundle, characters) == paths_of(expected, characters)
+    assert merged.bundle.vertices() == expected.vertices()
+    assert merged.bundle.relation_types() == expected.relation_types()
+    assert merged.audit._asdict() == counts
+    assert verify_merge(bundle, merged.bundle, plan).ok
+
+
 def test_a_plan_applies_to_an_equal_content_copy_but_not_to_a_changed_one(scholars_bundle, scholar_ids):
     plan = plan_merge(scholars_bundle, [[scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]]])
     merged = apply_merge(scholars_bundle, plan)
@@ -458,18 +604,19 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
         if vertex.id not in absorbed:
             expected_facts[vertex.id] = [fact for fact, _ in before_index.get(vertex.id, ())]
     for group in plan.groups:
-        for duplicate in group.absorbed:
-            facts = {relation_id: fact for fact, relation_id in before_index.get(duplicate, ())}
-            for disposition in group.dispositions.get(duplicate, ()):
-                if disposition.action != "transfer-to-representative":
-                    continue
-                if disposition.relation_id not in facts:
-                    violations.append((
-                        "neighbor degree mismatch",
-                        f"plan transfers {disposition.relation_id}, which is not an edge of {duplicate}",
-                    ))
-                elif group.representative in expected_facts:
-                    expected_facts[group.representative].append(facts[disposition.relation_id])
+        # every edge of an absorbed member that the plan does not drop lives on under the representative
+        members = set(group.absorbed)
+        group_edges = {edge.relation_id: edge for edge in before.edges() if edge.character in members}
+        for relation_id in sorted(set(group.dropped) - group_edges.keys()):
+            violations.append((
+                "neighbor degree mismatch",
+                f"plan drops {relation_id}, which is not an edge of an absorbed vertex of {group.representative}",
+            ))
+        if group.representative in expected_facts:
+            for relation_id, edge in group_edges.items():
+                if relation_id not in group.dropped:
+                    fact = (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
+                    expected_facts[group.representative].append(fact)
     for vid, expected in expected_facts.items():
         if sorted(expected) != [fact for fact, _ in after_index.get(vid, ())]:
             violations.append(("neighbor degree mismatch", f"edge multiset of character {vid} changed"))
@@ -528,7 +675,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
     yield "add a vertex", bundle_of(vertices + [Vertex("added-vertex", VertexKind.CHARACTER, "person", "New")], edges)
 
     # the absorbed character: its transferred edges live on under the representative
-    transferred = {d.relation_id for d in group.dispositions[absorbed] if d.action == "transfer-to-representative"}
+    transferred = {e.relation_id for e in before.edges() if e.character == absorbed} - set(group.dropped)
     moved = [i for i, e in enumerate(edges) if e.relation_id in transferred]
     if moved:
         i = rng.choice(moved)
