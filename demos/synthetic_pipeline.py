@@ -8,6 +8,8 @@ against the planted truth.
 Run: python demos/synthetic_pipeline.py
 """
 
+from itertools import combinations
+
 from tapmerge import (
     apply_merge,
     plan_merge,
@@ -34,7 +36,7 @@ candidates = screen_candidates(bundle)
 print(f"structure screening: {len(candidates)} candidate pairs")
 
 groups = threshold_groups(candidates, bundle, theta=THETA, now=now)
-found_pairs = set(groups.pairs())
+found_pairs = {pair for group in groups.groups for pair in combinations(group, 2)}
 tp = len(found_pairs & truth_pairs)
 precision = tp / len(found_pairs) if found_pairs else 1.0
 recall = tp / len(truth_pairs)

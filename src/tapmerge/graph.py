@@ -130,9 +130,6 @@ class TemporalActivityNetwork:
         """Number of edges from `character` to each entity neighbor."""
         return Counter(edge.entity for edge in self._by_character.get(character, ()))
 
-    def degree(self, character: str) -> int:
-        return len(self._by_character.get(character, ()))
-
 
 class NetworkBundle:
     """A set of temporal activity subnetworks over a shared vertex registry.
@@ -206,7 +203,9 @@ class NetworkBundle:
         relation_id: str | None = None,
     ) -> str:
         span, relation_id = self._register(character, entity, relation_type, interval, relation_id)
-        self._subnetworks[relation_type]._add(TemporalEdge(relation_id, character, entity, relation_type, span))
+        network = self._subnetworks[relation_type]
+        # the subnetwork's own label, so every edge shares one string object
+        network._add(TemporalEdge(relation_id, character, entity, network.relation_type, span))
         return relation_id
 
     def _register(

@@ -148,7 +148,8 @@ def load_records(
         if network is None:
             bundle.declare_relation_type(relation_type)
             network = subnetworks[relation_type]
-        edge = TemporalEdge(f"r{number:06d}", character, entity, relation_type, interval)
+        # the subnetwork's own label, so every edge shares one string object
+        edge = TemporalEdge(f"r{number:06d}", character, entity, network.relation_type, interval)
         network._edges.append(edge)
         network._by_character.setdefault(character, []).append(edge)
     return bundle.seal()

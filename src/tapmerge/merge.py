@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import GraphError, NetworkBundle, TemporalEdge, VertexKind
+from .graph import GraphError, NetworkBundle, VertexKind
 
 _Fact = tuple[str, str, int, int]  # (entity, relation type, start, end)
 
@@ -89,22 +89,13 @@ class VerificationReport:
         self.violations.append(Violation(kind, detail))
 
 
-def _edge_fact(edge: TemporalEdge) -> _Fact:
-    return (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
-
-
-def _fact_index(bundle: NetworkBundle, characters: Iterable[str]) -> dict[str, list[tuple[_Fact, str]]]:
-    """Each listed character's sorted (fact, relation id) list over every subnetwork; none if it has no edges."""
-    index: dict[str, list[tuple[_Fact, str]]] = {}
-    for character in dict.fromkeys(characters):
-        facts = [
-            (_edge_fact(edge), edge.relation_id)
-            for tan in bundle.subnetworks()
-            for edge in tan.edges_of_character(character)
-        ]
-        if facts:
-            index[character] = sorted(facts)
-    return index
+def _character_facts(bundle: NetworkBundle, character: str) -> list[tuple[_Fact, str]]:
+    """The character's sorted (fact, relation id) list over every subnetwork."""
+    return sorted(
+        ((edge.entity, edge.relation_type, edge.interval.start, edge.interval.end), edge.relation_id)
+        for tan in bundle.subnetworks()
+        for edge in tan.edges_of_character(character)
+    )
 
 
 def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergePlan:
@@ -129,11 +120,10 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
             if bundle.vertex(member).kind is not VertexKind.CHARACTER:
                 raise MergeError(f"cannot merge non-character vertex {member!r}")
         representative, absorbed = group[0], tuple(group[1:])
-        index = _fact_index(bundle, group)
-        known_facts = {fact for fact, _ in index.get(representative, ())}
+        known_facts = {fact for fact, _ in _character_facts(bundle, representative)}
         dropped = []
         for duplicate in absorbed:
-            for fact, relation_id in index.get(duplicate, ()):
+            for fact, relation_id in _character_facts(bundle, duplicate):
                 if fact in known_facts:
                     dropped.append(relation_id)
                 else:
@@ -153,20 +143,24 @@ def _require_character(bundle: NetworkBundle, vertex_id: str, role: str) -> None
 def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     """Produce the corrected bundle with every absorbed vertex removed.
 
-    Every group member must be a character of `bundle`, and every
-    dropped relation id an edge of an absorbed member. Only the group
-    members' edges are visited: the result shares every subnetwork, edge
-    list and edge that no absorbed vertex touches with `bundle`. The
-    content digests are compared, and so computed, only when `bundle` is
-    not the bundle the plan was built on.
+    Every group member must be a character of `bundle` that belongs to
+    no other group, and every dropped relation id an edge of an absorbed
+    member. Only the group members' edges are visited: the result shares
+    every subnetwork, edge list and edge that no absorbed vertex touches
+    with `bundle`. The content digests are compared, and so computed,
+    only when `bundle` is not the bundle the plan was built on.
     """
     if bundle is not plan.source and bundle.content_digest() != plan.source.content_digest():
         raise StalePlanError("plan was computed against a different bundle")
 
     mapping: dict[str, str] = {}
+    representatives: set[str] = set()
     dropped: set[str] = set()
     for group in plan.groups:
         _require_character(bundle, group.representative, "representative")
+        if group.representative in representatives:
+            raise MergeError(f"vertex {group.representative!r} appears in more than one group")
+        representatives.add(group.representative)
         for duplicate in group.absorbed:
             _require_character(bundle, duplicate, "absorbed vertex")
             if duplicate in mapping:
@@ -191,22 +185,13 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     return MergedNetwork(bundle=merged, audit=audit)
 
 
-def _facts_by_entity(index: dict[str, list[tuple[_Fact, str]]], characters: Sequence[str]) -> dict[str, set]:
-    """Distinct (relation type, start, end) facts of the characters, per entity."""
-    out: dict[str, set] = {}
-    for character in characters:
-        for (entity, relation_type, start, end), _ in index.get(character, ()):
-            out.setdefault(entity, set()).add((relation_type, start, end))
-    return out
-
-
 def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -> VerificationReport:
     """Re-check the merge postconditions from scratch; empty report on success.
 
     A character outside every group passes the edge multiset check at
-    once when each of its edge lists equals its list in `before`; only
-    group members and characters whose lists differ have their facts
-    indexed and compared.
+    once when each of its edge lists equals its list in `before`. Each
+    group is then checked on its own, so only one group's facts are held
+    at a time; the groups must be disjoint, as :func:`apply_merge` checks.
     """
     report = VerificationReport()
 
@@ -230,53 +215,55 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
             if edge.character not in vertex_ids or edge.entity not in vertex_ids:
                 report.add("dangling endpoint", f"edge {edge.relation_id} references a missing vertex")
 
-    # per-character edge multisets: untouched characters keep theirs exactly,
-    # representatives gain exactly the transferred facts
-    representatives = {group.representative for group in plan.groups}
+    # a character outside every group keeps its edge multiset exactly
+    members = absorbed.union(group.representative for group in plan.groups)
     changed = before.changed_paths(after)
-    checked = [
-        vertex.id
-        for vertex in before.vertices(VertexKind.CHARACTER)
-        if vertex.id not in absorbed and (vertex.id in changed or vertex.id in representatives)
-    ]
-    before_index = _fact_index(before, [*checked, *representatives, *absorbed])
-    after_index = _fact_index(after, [*checked, *representatives])
-    expected_facts = {vid: [fact for fact, _ in before_index.get(vid, ())] for vid in checked}
+    for vertex in before.vertices(VertexKind.CHARACTER):
+        vid = vertex.id
+        if vid in changed and vid not in members:
+            pre, post = _character_facts(before, vid), _character_facts(after, vid)
+            if [fact for fact, _ in pre] != [fact for fact, _ in post]:
+                report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
+
     for group in plan.groups:
+        representative = group.representative
+        own, post = _character_facts(before, representative), _character_facts(after, representative)
+        absorbed_facts = [entry for duplicate in group.absorbed for entry in _character_facts(before, duplicate)]
         dropped = set(group.dropped)
-        absorbed_facts = [entry for duplicate in group.absorbed for entry in before_index.get(duplicate, ())]
         for relation_id in sorted(dropped.difference(relation_id for _, relation_id in absorbed_facts)):
             report.add(
                 "neighbor degree mismatch",
-                f"plan drops {relation_id}, which is not an edge of an absorbed vertex of {group.representative}",
+                f"plan drops {relation_id}, which is not an edge of an absorbed vertex of {representative}",
             )
-        # a representative that is no surviving character of `before`
-        # has no expected facts; the checks below report it
-        if group.representative in expected_facts:
-            expected_facts[group.representative] += [fact for fact, rid in absorbed_facts if rid not in dropped]
-    for vid, expected in expected_facts.items():
-        post = [fact for fact, _ in after_index.get(vid, ())]
-        if sorted(expected) != post:
-            report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
+        is_character = [
+            bundle.has_vertex(representative) and bundle.vertex(representative).kind is VertexKind.CHARACTER
+            for bundle in (before, after)
+        ]
+        # the representative gains exactly the facts the plan does not drop; one that is
+        # no surviving character of `before` has no expected facts, and the kind check reports it
+        if is_character[0] and representative not in absorbed:
+            expected = [fact for fact, _ in own] + [fact for fact, rid in absorbed_facts if rid not in dropped]
+            if sorted(expected) != [fact for fact, _ in post]:
+                report.add("neighbor degree mismatch", f"edge multiset of character {representative} changed")
 
-    # the representative carries the group's distinct facts, nothing lost
-    for group in plan.groups:
-        pre_by_entity = _facts_by_entity(before_index, [group.representative, *group.absorbed])
-        post_by_entity = _facts_by_entity(after_index, [group.representative])
+        # the representative carries the group's distinct facts, nothing lost
+        pre_by_entity: dict[str, set] = {}
+        post_by_entity: dict[str, set] = {}
+        for facts, by_entity in (((*own, *absorbed_facts), pre_by_entity), (post, post_by_entity)):
+            for (entity, relation_type, start, end), _ in facts:
+                by_entity.setdefault(entity, set()).add((relation_type, start, end))
         for entity in sorted(pre_by_entity):
             pre_facts, post_facts = pre_by_entity[entity], post_by_entity.get(entity, set())
             if pre_facts != post_facts:
                 report.add(
                     "entity fact mismatch",
-                    f"facts between {entity} and group of {group.representative} changed: "
+                    f"facts between {entity} and group of {representative} changed: "
                     f"{sorted(pre_facts)} -> {sorted(post_facts)}",
                 )
 
-    # every representative is a character vertex of the input and still one of the result
-    for group in plan.groups:
-        representative = group.representative
-        for bundle, role in ((before, "input"), (after, "result")):
-            if not bundle.has_vertex(representative) or bundle.vertex(representative).kind is not VertexKind.CHARACTER:
+        # the representative is a character vertex of the input and still one of the result
+        for character, role in zip(is_character, ("input", "result")):
+            if not character:
                 report.add(
                     "representative not a character", f"{representative} is not a character vertex of the {role}"
                 )

@@ -126,14 +126,6 @@ class RedundantGroupSet(NamedTuple):
     theta: float
     now: int
 
-    def pairs(self) -> list[tuple[str, str]]:
-        out = []
-        for group in self.groups:
-            for i, x in enumerate(group):
-                for y in group[i + 1 :]:
-                    out.append((x, y))
-        return out
-
     def to_dict(self) -> dict:
         return {"theta": self.theta, "now": self.now, "groups": self.groups}
 

@@ -128,7 +128,7 @@ def test_criterion_5_similarity_property_suite():
                     weight = (now + 1 - e.interval.start) * (e.interval.end + 1 - e.interval.start)
                     vectors[c][e.entity] = vectors[c].get(e.entity, 0) + weight
             for i, x in enumerate(ids):
-                if tan.degree(x) > 0:
+                if tan.edges_of_character(x):
                     assert simtap_beta(tan, x, x, now) == 1.0
                 for y in ids[i + 1 :]:
                     value = simtap_beta(tan, x, y, now)

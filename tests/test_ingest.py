@@ -214,6 +214,30 @@ def test_loaded_edges_share_one_interval_per_span(tmp_path):
     assert not hasattr(next(bundle.edges()), "__dict__")
 
 
+def test_every_edge_holds_its_subnetworks_label_object(tmp_path):
+    # each row's relation type field, and each label passed to add_edge below,
+    # is a string object of its own
+    rows = [
+        ",A,Uni,institution,study,2001,2002",
+        ",B,Lab,institution,work,2001,2002",
+        ",A,Lab,institution,work,2001,2003",
+        ",B,Uni,institution,study,2003,2004",
+    ]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"relation_types": ["work"]}), encoding="utf-8")
+    loaded, _ = load(write_csv(tmp_path, rows), manifest)
+    built = NetworkBundle()
+    person = built.add_vertex(VertexKind.CHARACTER, "person", "A")
+    uni = built.add_vertex(VertexKind.ENTITY, "institution", "Uni")
+    for start in (2001, 2003):
+        for label in ("study", "work"):
+            built.add_edge(person, uni, label[:1] + label[1:], (start, start))
+    for bundle in (loaded, built.seal()):
+        assert bundle.edge_count == 4
+        for tan in bundle.subnetworks():
+            assert all(edge.relation_type is tan.relation_type for edge in tan.edges())
+
+
 def test_duplicate_rows_load_as_parallel_edges(tmp_path):
     rows = [",A,Uni,institution,study,2001,2002"] * 2
     bundle, _ = load(write_csv(tmp_path, rows))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -315,6 +316,25 @@ def test_clone_merges_on_random_bundles_conserve_vertex_counts():
         assert verify_merge(planted, merged.bundle, plan).ok
 
 
+def test_verify_merge_holds_one_groups_facts_at_a_time():
+    # 500 planted groups in about 16,000 edges: 0.3 MB on Python 3.11; indexing
+    # every group's facts in both bundles at once peaked at 2.0 MB
+    base = generate(RandomBundleSpec(characters=2000, entities_per_type=500, relation_types=4, seed=3))
+    bundle, truth = plant_duplicates(base, k=500, mode=PlantMode.EXACT_CLONE, seed=3)
+    plan = plan_merge(bundle, [[pair.original, pair.clone] for pair in truth])
+    merged = apply_merge(bundle, plan).bundle
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = verify_merge(bundle, merged, plan)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2**20
+
+
 def test_plan_merge_needs_a_sealed_bundle():
     bundle = NetworkBundle()
     bundle.add_vertex(VertexKind.CHARACTER, "person", "Wu", vertex_id="c1")
@@ -344,6 +364,16 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
             apply_merge(scholars_bundle, hand_edited)
         assert type(raised.value) is MergeError
         assert str(raised.value) == str(planned.value) == f"cannot merge non-character vertex {entity!r}"
+    # one representative leading two groups fails as it does in plan_merge
+    led_by_first = [first.representative, second.representative]
+    with pytest.raises(MergeError) as planned:
+        plan_merge(scholars_bundle, [[first.representative, *first.absorbed], led_by_first])
+    (also_led_by_first,) = plan_merge(scholars_bundle, [led_by_first]).groups
+    leads_two_groups = plan._replace(groups=[first, also_led_by_first])
+    with pytest.raises(MergeError) as raised:
+        apply_merge(scholars_bundle, leads_two_groups)
+    assert type(raised.value) is MergeError
+    assert str(raised.value) == str(planned.value) == f"vertex {first.representative!r} appears in more than one group"
     # used to be applied, leaving only verify_merge's "vertex count mismatch"
     absorbs_a_missing_id = edited(first, absorbed=(*first.absorbed, "ghost"))
     with pytest.raises(StalePlanError) as raised:

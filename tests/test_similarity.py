@@ -497,7 +497,7 @@ def test_similarity_bounds_symmetry_identity(data):
     tan = bundle.subnetwork("member")
     now = 2009
     for i, x in enumerate(characters):
-        if tan.degree(x) > 0:
+        if tan.edges_of_character(x):
             assert simtap_beta(tan, x, x, now) == 1.0
         for y in characters[i + 1 :]:
             forward = simtap_beta(tan, x, y, now)
