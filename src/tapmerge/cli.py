@@ -123,7 +123,8 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
 
     groups = group_by_threshold(results, args.theta, now)
     write_groups_json(groups, out / "groups.json")
-    # the scores hold every class's weight vectors, which the merge never reads
+    # the scores hold every class's weight vectors for exact decisions at theta,
+    # and the merge reads none of them
     class_pairs = len(results.table)
     del results
 
@@ -234,12 +235,24 @@ def main(argv: list[str] | None = None) -> int:
     afterwards. At exit the heap is frozen, so the interpreter's final
     collection does not traverse it; the freeze is registered once,
     however often `main` is called.
+
+    Logging leaves the root logger alone. When no handler would take the
+    `tapmerge` records, one that writes `LEVEL message` lines to stderr
+    is attached to that logger for the call, and the logger logs at INFO
+    unless its level was set; a host that configured logging keeps its
+    handlers and levels.
     """
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    level, handler = log.level, None
+    if not log.hasHandlers():
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+        log.addHandler(handler)
+        if level == logging.NOTSET:
+            log.setLevel(logging.INFO)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -261,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+        if handler is not None:
+            log.removeHandler(handler)
+            log.setLevel(level)
 
 
 if __name__ == "__main__":

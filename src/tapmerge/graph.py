@@ -42,10 +42,6 @@ class SealedBundleError(GraphError):
     """Mutation was attempted on a bundle that has been sealed."""
 
 
-class HeterogeneityError(GraphError):
-    """The bundle does not have at least two vertex types and one relation type."""
-
-
 class VertexKind(Enum):
     CHARACTER = "character"
     ENTITY = "entity"
@@ -358,9 +354,6 @@ class NetworkBundle:
     def character_ids(self) -> list[str]:
         return sorted(v.id for v in self._vertices.values() if v.kind is VertexKind.CHARACTER)
 
-    def entity_ids(self) -> list[str]:
-        return sorted(v.id for v in self._vertices.values() if v.kind is VertexKind.ENTITY)
-
     def relation_types(self) -> list[str]:
         """Declared relation types, in declaration / first-seen order."""
         return list(self._subnetworks)
@@ -386,9 +379,6 @@ class NetworkBundle:
     def vertex_count(self) -> int:
         return len(self._vertices)
 
-    def vertex_type_labels(self) -> set[str]:
-        return {v.type_label for v in self._vertices.values()}
-
     def max_end(self) -> int | None:
         """Latest end time over all edges; the default `now` anchor."""
         return max((e.interval.end for e in self.edges()), default=None)
@@ -398,14 +388,6 @@ class NetworkBundle:
         if tan is None:
             return Counter()
         return tan.neighbor_counts(character)
-
-    def validate(self) -> None:
-        """Check the heterogeneity requirement: >= 2 vertex types, >= 1 relation type."""
-        labels = self.vertex_type_labels()
-        if len(labels) < 2:
-            raise HeterogeneityError(f"need at least 2 vertex type labels, have {sorted(labels)}")
-        if not self._subnetworks:
-            raise HeterogeneityError("need at least 1 relation type")
 
 
 class OneModeRelation(NamedTuple):
@@ -431,15 +413,6 @@ class OneModeNetwork:
     def multiplicity(self, x: str, y: str) -> int:
         lo, hi = min(x, y), max(x, y)
         return sum(1 for rel in self.relations if rel.a == lo and rel.b == hi)
-
-    def neighbors(self, x: str) -> set[str]:
-        out = set()
-        for rel in self.relations:
-            if rel.a == x:
-                out.add(rel.b)
-            elif rel.b == x:
-                out.add(rel.a)
-        return out
 
 
 def project_one_mode(bundle: NetworkBundle) -> OneModeNetwork:

@@ -75,13 +75,6 @@ class DatasetManifest:
         except IngestError as exc:
             raise IngestError(f"{path}: {exc}") from None
 
-    def to_json(self, path: str | Path) -> None:
-        doc = {
-            "relation_types": self.relation_types,
-            "entity_types": self.entity_types,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
 
 class RejectedRow(NamedTuple):
     line: int

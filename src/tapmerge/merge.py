@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .graph import GraphError, NetworkBundle, VertexKind
+from .unionfind import UnionFind
 
 _Fact = tuple[str, str, int, int]  # (entity, relation type, start, end)
 
@@ -185,15 +186,48 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     return MergedNetwork(bundle=merged, audit=audit)
 
 
+def _joined_groups(plan: MergePlan, report: VerificationReport) -> list[GroupPlan]:
+    """The plan's groups, with the groups that share a member joined into one.
+
+    The shared members are named in one `overlapping groups` violation.
+    A joined group is led by the representative of its first group in
+    the plan, absorbs every other member and drops every listed edge.
+    """
+    first: dict[str, int] = {}
+    components = UnionFind()
+    shared: set[str] = set()
+    for i, group in enumerate(plan.groups):
+        for member in (group.representative, *group.absorbed):
+            j = first.setdefault(member, i)
+            if j != i:
+                shared.add(member)
+                components.union(j, i)
+    if not shared:
+        return plan.groups
+    report.add("overlapping groups", f"more than one group holds {', '.join(sorted(shared))}")
+    joined: dict[int, list[GroupPlan]] = {}
+    for i, group in enumerate(plan.groups):
+        joined.setdefault(components.find(i), []).append(group)
+    out = []
+    for groups in joined.values():
+        representative = groups[0].representative
+        members = {member for group in groups for member in (group.representative, *group.absorbed)}
+        dropped = {relation_id for group in groups for relation_id in group.dropped}
+        out.append(GroupPlan(representative, tuple(sorted(members - {representative})), tuple(sorted(dropped))))
+    return out
+
+
 def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -> VerificationReport:
     """Re-check the merge postconditions from scratch; empty report on success.
 
     A character outside every group passes the edge multiset check at
     once when each of its edge lists equals its list in `before`. Each
     group is then checked on its own, so only one group's facts are held
-    at a time; the groups must be disjoint, as :func:`apply_merge` checks.
+    at a time. Groups that share a member, which :func:`apply_merge`
+    refuses, are reported and checked as one group.
     """
     report = VerificationReport()
+    groups = _joined_groups(plan, report)
 
     expected_removed = plan.removed_vertex_count
     if after.vertex_count != before.vertex_count - expected_removed:
@@ -202,7 +236,7 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
             f"expected {before.vertex_count - expected_removed} vertices, found {after.vertex_count}",
         )
 
-    absorbed = {dup for group in plan.groups for dup in group.absorbed}
+    absorbed = {dup for group in groups for dup in group.absorbed}
     for vid in absorbed:
         if after.has_vertex(vid):
             report.add("absorbed vertex present", f"{vid} survived the merge")
@@ -216,7 +250,7 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
                 report.add("dangling endpoint", f"edge {edge.relation_id} references a missing vertex")
 
     # a character outside every group keeps its edge multiset exactly
-    members = absorbed.union(group.representative for group in plan.groups)
+    members = absorbed.union(group.representative for group in groups)
     changed = before.changed_paths(after)
     for vertex in before.vertices(VertexKind.CHARACTER):
         vid = vertex.id
@@ -225,7 +259,7 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
             if [fact for fact, _ in pre] != [fact for fact, _ in post]:
                 report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
 
-    for group in plan.groups:
+    for group in groups:
         representative = group.representative
         own, post = _character_facts(before, representative), _character_facts(after, representative)
         absorbed_facts = [entry for duplicate in group.absorbed for entry in _character_facts(before, duplicate)]

@@ -87,10 +87,6 @@ def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
     return StructureError(x, y, value, degree_x, degree_y, shared, per_beta)
 
 
-# the most pairs in one run of `CandidateSet.runs`
-_RUN_LENGTH = 256
-
-
 class CandidateSet:
     """Unordered character pairs with structure error zero, kept as their buckets.
 
@@ -122,10 +118,7 @@ class CandidateSet:
         A character sits in one bucket, so its pairs are the members
         after it there, less those of equal name under the
         different-name filter; visiting the characters in id order sorts
-        all pairs. A character with no such member yields no run, and
-        one with more than `_RUN_LENGTH` yields consecutive runs of at
-        most that many, so a writer's text for one run stays small
-        however large the bucket.
+        all pairs. A character with no such member yields no run.
         """
         where = {x: (members, i) for members in self.buckets for i, x in enumerate(members)}
         names = self.names
@@ -135,8 +128,8 @@ class CandidateSet:
             if names is not None:
                 name = names[x]
                 later = [y for y in later if names[y] != name]
-            for start in range(0, len(later), _RUN_LENGTH):
-                yield x, later[start : start + _RUN_LENGTH]
+            if later:
+                yield x, later
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return chain.from_iterable(zip(repeat(x), later) for x, later in self.runs())

@@ -27,7 +27,11 @@ nothing per pair.
 
 All accumulation is exact integer arithmetic; the single final division
 is the only float operation, so results are bit-reproducible and do not
-depend on which member of a class or pair comes first.
+depend on which member of a class or pair comes first. A pair merges
+when its exact mean score reaches theta, read as the decimal it prints
+as: a float mean within `_EXACT_BAND` of theta is decided again in
+`Fraction`s, since 4/5, 1, 1 and 4/5 average to 9/10 exactly but to
+0.8999999999999999 in floats.
 """
 
 from __future__ import annotations
@@ -74,49 +78,40 @@ class SimilarityResult(NamedTuple):
     aggregate: float
 
 
-class PairScores(Sequence[SimilarityResult]):
+class PairScores:
     """Similarity for some pairs, stored once per pair of weight-vector classes.
 
-    `class_of` gives each character's class. The pair (x, y) has the key
-    `class_of[x] * len(class_of) + class_of[y]`, as no class id reaches
-    the number of characters, and `row_of[key]` is its row in `table`,
-    which `similarity_for_pairs` fills before it returns: one `(scores,
-    aggregate)` row per unordered class pair that `pairs` meets, keyed
-    in both orders. Read as a sequence, it builds each pair's
-    `SimilarityResult` on demand; indexing needs `pairs` to be
-    indexable, which a `CandidateSet` is not.
+    `class_of` gives each character's class, and `profiles[c]` holds
+    class c's `(weight vector, self-weight)` in each subnetwork. The pair
+    (x, y) has the key `class_of[x] * len(class_of) + class_of[y]`, as no
+    class id reaches the number of characters, and `row_of[key]` is its
+    row in `table`, which `similarity_for_pairs` fills before it
+    returns: one `(scores, aggregate)` row per unordered class pair that
+    `pairs` meets, keyed in both orders. Iterating builds each pair's
+    `SimilarityResult`, in the order of `pairs`.
     """
 
     def __init__(
         self,
         pairs: Sequence[tuple[str, str]] | CandidateSet,
         class_of: dict[str, int],
+        profiles: list[list[tuple[dict[str, int], int]]],
         table: list[tuple[tuple[float, ...], float]],
         row_of: dict[int, int],
     ):
         self.pairs = pairs
         self.class_of = class_of
+        self.profiles = profiles
         self.table = table
         self.row_of = row_of
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairScores):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def row(self, x: str, y: str) -> int:
-        return self.row_of[self.class_of[x] * len(self.class_of) + self.class_of[y]]
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __getitem__(self, i: int) -> SimilarityResult:
-        x, y = self.pairs[i]
-        return SimilarityResult(x, y, *self.table[self.row(x, y)])
-
     def __iter__(self) -> Iterator[SimilarityResult]:
+        table, row_of, class_of, n = self.table, self.row_of, self.class_of, len(self.class_of)
         for x, y in self.pairs:
-            yield SimilarityResult(x, y, *self.table[self.row(x, y)])
+            yield SimilarityResult(x, y, *table[row_of[class_of[x] * n + class_of[y]]])
 
 
 class RedundantGroupSet(NamedTuple):
@@ -182,15 +177,20 @@ def _self_weight(vec: dict[str, int]) -> int:
     return sum(weight * weight for weight in vec.values())
 
 
-def _similarity(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: int) -> float:
+def _cross_weight(vec_x: dict[str, int], vec_y: dict[str, int]) -> int:
+    """W(paths x..y): the dot product of two aggregated weight vectors."""
     # exact integer sums, so iteration order cannot change the result
-    denominator = w_xx + w_yy
-    if denominator == 0:
-        return 0.0
     w_xy = 0
     for entity, weight in vec_x.items():
         w_xy += weight * vec_y.get(entity, 0)
-    return (2 * w_xy) / denominator
+    return w_xy
+
+
+def _similarity(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: int) -> float:
+    denominator = w_xx + w_yy
+    if denominator == 0:
+        return 0.0
+    return (2 * _cross_weight(vec_x, vec_y)) / denominator
 
 
 def simtap_beta(tan: TemporalActivityNetwork, x: str, y: str, now: int) -> float:
@@ -207,7 +207,8 @@ def combine_subnetwork_scores(scores: Sequence[float]) -> float:
 
 
 def simtap(bundle: NetworkBundle, x: str, y: str, now: int) -> SimilarityResult:
-    return similarity_for_pairs(bundle, [(x, y)], now)[0]
+    (result,) = similarity_for_pairs(bundle, [(x, y)], now)
+    return result
 
 
 def resolve_now(bundle: NetworkBundle, now: int | None) -> int:
@@ -275,23 +276,61 @@ def similarity_for_pairs(
                 for (vec_a, w_aa), (vec_b, w_bb) in zip(profiles[a], profiles[b])
             ])
             table.append((scores, combine_subnetwork_scores(scores)))
-    return PairScores(pairs, class_of, table, row_of)
+    return PairScores(pairs, class_of, profiles, table, row_of)
+
+
+# a float aggregate at most this far from theta is decided in exact arithmetic
+_EXACT_BAND = 1e-9
+
+
+def _reaches_exactly(
+    profile_a: list[tuple[dict[str, int], int]], profile_b: list[tuple[dict[str, int], int]], theta: float
+) -> bool:
+    """Whether two classes' exact mean of 2 * W_xy / (W_xx + W_yy) is at least `Fraction(repr(theta))`."""
+    # `fractions` loads `decimal`, so only a row within the band imports it
+    from fractions import Fraction
+
+    total = sum(
+        (
+            Fraction(2 * _cross_weight(vec_a, vec_b), w_aa + w_bb)
+            for (vec_a, w_aa), (vec_b, w_bb) in zip(profile_a, profile_b)
+            if w_aa and w_bb
+        ),
+        Fraction(0),
+    )
+    # with no subnetwork the mean is 0, below every theta
+    return bool(profile_a) and total >= len(profile_a) * Fraction(repr(theta))
 
 
 def group_by_threshold(results: PairScores, theta: float, now: int) -> RedundantGroupSet:
-    """Union every pair whose class-pair row has an aggregate >= theta.
+    """Union every pair whose class pair's exact mean score is at least theta.
 
-    The table is full from the moment `similarity_for_pairs` returns, so
-    the pairs are walked only when some row reaches theta, whatever ran
-    before.
+    Theta is read as the decimal it prints as, `Fraction(repr(theta))`,
+    so 0.9 is 9/10. A row whose float aggregate lies within
+    `_EXACT_BAND` of theta is decided by the exact mean of its classes'
+    integer weights, and every other row by its float, whose error is
+    far smaller than the band. The table is full from the moment
+    `similarity_for_pairs` returns, so the pairs are walked only when
+    some row reaches theta, whatever ran before.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
+    table, row_of, class_of, n = results.table, results.row_of, results.class_of, len(results.class_of)
+    reaches = [aggregate >= theta for _, aggregate in table]
+    near = {row for row, (_, aggregate) in enumerate(table) if abs(aggregate - theta) <= _EXACT_BAND}
+    if near:
+        profiles = results.profiles
+        # each row is keyed in both orders; decide it at its first key
+        for key, row in row_of.items():
+            if row in near:
+                near.remove(row)
+                a, b = divmod(key, n)
+                reaches[row] = _reaches_exactly(profiles[a], profiles[b], theta)
     dsu = UnionFind()
-    if any(aggregate >= theta for _, aggregate in results.table):
-        for result in results:
-            if result.aggregate >= theta:
-                dsu.union(result.x, result.y)
+    if any(reaches):
+        for x, y in results.pairs:
+            if reaches[row_of[class_of[x] * n + class_of[y]]]:
+                dsu.union(x, y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
 
 

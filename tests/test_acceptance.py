@@ -31,7 +31,7 @@ from tapmerge import (
     verify_merge,
 )
 from tapmerge.cli import main as cli_main
-from tapmerge.ingest import DatasetManifest, export_records_csv
+from tapmerge.ingest import export_records_csv
 from tapmerge.testkit import (
     PlantMode,
     RandomBundleSpec,
@@ -168,10 +168,11 @@ def _write_inputs(bundle, directory) -> tuple[str, str]:
     records = directory / "records.csv"
     manifest = directory / "manifest.json"
     export_records_csv(bundle, records)
-    DatasetManifest(
-        relation_types=bundle.relation_types(),
-        entity_types=sorted({v.type_label for v in bundle.vertices() if v.type_label != "person"}),
-    ).to_json(manifest)
+    doc = {
+        "relation_types": bundle.relation_types(),
+        "entity_types": sorted({v.type_label for v in bundle.vertices() if v.type_label != "person"}),
+    }
+    manifest.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return str(records), str(manifest)
 
 

@@ -385,6 +385,56 @@ print("returned", gc.isenabled())
     assert done.stdout.splitlines() == ["returned True", "frozen True"]
 
 
+def test_main_leaves_the_root_logger_alone(tmp_path):
+    # a child process, whose root logger starts with no handler: a run logs
+    # its INFO line to stderr, and afterwards the host's own INFO records
+    # still go nowhere
+    script = f"""
+import logging
+from tapmerge.cli import main
+root, tapmerge_log = logging.getLogger(), logging.getLogger("tapmerge")
+before = (list(root.handlers), root.level, list(tapmerge_log.handlers), tapmerge_log.level)
+assert main(["ingest", "--records", {str(SCHOLARS_CSV)!r}, "--out", {str(tmp_path)!r}]) == 0
+assert (list(root.handlers), root.level, list(tapmerge_log.handlers), tapmerge_log.level) == before, before
+logging.getLogger("host").info("host record")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "INFO loaded 34 rows (0 rejected): 28 vertices, 34 edges\n"
+    # in this process the root logger carries pytest's handlers
+    root = logging.getLogger()
+    before = (list(root.handlers), root.level)
+    assert run("ingest", *base_args(tmp_path)) == 0
+    assert (list(root.handlers), root.level) == before
+
+
+def test_a_pair_whose_exact_mean_equals_theta_merges(tmp_path):
+    # per subnetwork 4/5, 1, 1 and 4/5: the exact mean is 9/10, the float
+    # mean 0.8999999999999999
+    rows = [
+        ",Ann Lee,E1,paper,r1,2014,2014", ",Ann Li,E1,paper,r1,2013,2013",
+        ",Ann Lee,E2,paper,r2,2014,2014", ",Ann Li,E2,paper,r2,2014,2014",
+        ",Ann Lee,E3,paper,r3,2014,2014", ",Ann Li,E3,paper,r3,2014,2014",
+        ",Ann Lee,E4,paper,r4,2014,2014", ",Ann Li,E4,paper,r4,2013,2013",
+    ]
+    records = tmp_path / "records.csv"
+    header = "character_id,character_name,entity_name,entity_type,relation_type,start,end"
+    records.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("dedupe", "--records", str(records), "--out", str(out), "--theta", "0.9", "--now", "2014") == 0
+    groups = json.loads((out / "groups.json").read_text())
+    assert groups == {"theta": 0.9, "now": 2014, "groups": [["c000001", "c000002"]]}
+    assert json.loads((out / "run_manifest.json").read_text())["theta"] == 0.9
+    with open(out / "similarity.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    scores = [row[beta] for beta in ("r1", "r2", "r3", "r4", "simtap")]
+    assert scores == ["0.8000", "1.0000", "1.0000", "0.8000", "0.9000"]
+    # just above the exact mean, nothing merges
+    assert run("dedupe", "--records", str(records), "--out", str(out), "--theta", "0.9000001", "--now", "2014") == 0
+    assert json.loads((out / "groups.json").read_text())["groups"] == []
+
+
 def test_a_run_leaves_no_cyclic_garbage_that_grows_with_its_input(tmp_path):
     def garbage_after_dedupe(label: str, people: int) -> int:
         spec = RandomBundleSpec(characters=people, entities_per_type=people // 4, relation_types=3, seed=5)

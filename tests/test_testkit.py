@@ -39,7 +39,7 @@ def test_generation_is_deterministic_per_seed():
 def test_generated_bundles_are_heterogeneous_and_sealed():
     bundle = generate(SPEC)
     assert bundle.sealed
-    bundle.validate()
+    assert len({v.type_label for v in bundle.vertices()}) == 4
     assert len(bundle.relation_types()) == 3
 
 
