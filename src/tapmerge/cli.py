@@ -106,7 +106,7 @@ def cmd_simtap(args: argparse.Namespace) -> int:
         pairs = screen_candidates(bundle, NameFilter(args.name_filter))
     results = similarity_for_pairs(bundle, pairs, now)
     write_similarity_csv(bundle, results, args.out / "similarity.csv")
-    log.info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, len(results.table))
+    log.info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, results.scored)
     return EXIT_OK
 
 
@@ -125,7 +125,7 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     write_groups_json(groups, out / "groups.json")
     # the scores hold every class's weight vectors for exact decisions at theta,
     # and the merge reads none of them
-    class_pairs = len(results.table)
+    class_pairs = results.scored
     del results
 
     plan = plan_merge(bundle, groups.groups)

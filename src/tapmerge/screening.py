@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import csv
 from enum import Enum
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter, ne
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterator, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import GraphError, NetworkBundle, VertexKind
 
@@ -112,52 +112,43 @@ class CandidateSet:
         self.bucket_count = bucket_count
         self.largest_bucket = largest_bucket
 
-    def runs(self) -> Iterator[tuple[str, list[str]]]:
-        """Each bucketed character in id order, with the later members of its bucket it pairs with.
+    def runs(self) -> Iterator[tuple[int, int, list[bool] | None]]:
+        """Each bucketed character that pairs with someone, in id order, as `(bucket, position, keep)`.
 
-        A character sits in one bucket, so its pairs are the members
-        after it there, less those of equal name under the
-        different-name filter; visiting the characters in id order sorts
+        A character sits in one bucket, at `buckets[bucket][position]`,
+        and pairs with the members after it there. `keep` is None when
+        it pairs with all of them, and otherwise masks that slice: under
+        the different-name filter it is False where a later member has
+        the character's name. Visiting the characters in id order sorts
         all pairs. A character with no such member yields no run.
         """
-        where = {x: (members, i) for members in self.buckets for i, x in enumerate(members)}
-        names = self.names
+        buckets, names = self.buckets, self.names
+        where = {x: (b, i) for b, members in enumerate(buckets) for i, x in enumerate(members[:-1])}
+        bucket_names = None if names is None else [list(map(names.__getitem__, members)) for members in buckets]
         for x in sorted(where):
-            members, i = where[x]
-            later = members[i + 1 :]
-            if names is not None:
-                name = names[x]
-                later = [y for y in later if names[y] != name]
-            if later:
-                yield x, later
+            b, i = where[x]
+            keep = None
+            if bucket_names is not None:
+                keep = list(map(ne, bucket_names[b][i + 1 :], repeat(names[x])))
+                if not any(keep):
+                    continue
+            yield b, i, keep
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        return chain.from_iterable(zip(repeat(x), later) for x, later in self.runs())
-
-    def class_pairs(self, class_of: dict[str, int]) -> Iterator[tuple[int, int]]:
-        """Each unordered pair of classes that some candidate pair joins, once per bucket it is met in.
-
-        Two classes, or a class with itself, are joined in a bucket when
-        their members there carry two display names; without the
-        different-name filter each member is its own name.
-        """
-        names = self.names or {}
-        for members in self.buckets:
-            names_in: dict[int, set[str]] = {}
-            for member in members:
-                names_in.setdefault(class_of[member], set()).add(names.get(member, member))
-            present = list(names_in.items())
-            for i, (a, names_a) in enumerate(present):
-                for b, names_b in present[i:]:
-                    # two non-empty name sets hold one name between them only when both are that name
-                    if len(names_a) > 1 or names_a != names_b:
-                        yield a, b
+        for b, i, keep in self.runs():
+            members = self.buckets[b]
+            yield from zip(repeat(members[i]), run_slice(members, i, keep))
 
     def pair_ids(self) -> list[tuple[str, str]]:
         return list(self)
 
     def __len__(self) -> int:
         return self.count
+
+
+def run_slice(items: Sequence[Any], i: int, keep: list[bool] | None) -> Iterable[Any]:
+    """The items of a per-bucket list after position `i` that a run's `keep` mask selects."""
+    return items[i + 1 :] if keep is None else compress(items[i + 1 :], keep)
 
 
 def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
@@ -270,13 +261,15 @@ def character_fields(bundle: NetworkBundle) -> Memo:
 def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: str | Path) -> None:
     """One row per candidate pair, in id order, written one run at a time.
 
-    A run's rows all start with its character's `id,name,`, so each run
-    is written as one string: that head before each member's row tail.
+    A run's rows all start with its character's `id,name,`, and each
+    member's row tail is rendered once per bucket, so a run is written
+    as one string: that head joined over a slice of its bucket's tails.
     """
     fields = character_fields(bundle)
+    # equal signatures give 2*shared == degree_x + degree_y, so every error is exactly 0.0
+    tails = [list(map(add, map(fields.__getitem__, members), repeat(",0.0000\r\n"))) for members in candidates.buckets]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
-        for x, later in candidates.runs():
-            head = fields[x] + ","
-            # equal signatures give 2*shared == degree_x + degree_y, so every error is exactly 0.0
-            fh.write(head + head.join([f"{fields[y]},0.0000\r\n" for y in later]))
+        for b, i, keep in candidates.runs():
+            head = fields[candidates.buckets[b][i]] + ","
+            fh.write(head + head.join(run_slice(tails[b], i, keep)))

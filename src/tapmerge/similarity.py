@@ -19,11 +19,15 @@ character is absent from as 0.
 
 A pair's scores depend only on the two characters' aggregated weight
 vectors, so `similarity_for_pairs` puts characters with equal vectors in
-one class and scores each class pair that the pairs meet once, before it
-returns. The candidates in one signature bucket share their structure,
-so a bucket of thousands of people around one popular entity has far
-fewer classes than pairs. `PairScores` keeps one row per class pair and
-nothing per pair.
+one class and scores one block at a time: a signature bucket of a
+`CandidateSet`, or a run of equal first members of a list of pairs.
+Each class of a block is scored against the block's classes from its
+own on, by one row routine of C-level `map`s that also renders the
+rows' `similarity.csv` text, so a bucket of thousands of people around
+one popular entity costs about its classes squared over two, not its
+pairs. `PairScores` keeps those rows and nothing per pair, and the
+writers and the grouping take each run's pairs as slices of per-block
+lists.
 
 All accumulation is exact integer arithmetic; the single final division
 is the only float operation, so results are bit-reproducible and do not
@@ -39,13 +43,13 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterator, Sequence
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain, compress, groupby, repeat
+from operator import add, ge, getitem, itemgetter, mul, truediv
 from pathlib import Path
 from typing import NamedTuple
 
 from .graph import GraphError, NetworkBundle, TemporalActivityNetwork, TemporalEdge, VertexKind
-from .screening import CandidateSet, character_fields
+from .screening import CandidateSet, character_fields, run_slice
 from .unionfind import UnionFind
 
 
@@ -78,40 +82,88 @@ class SimilarityResult(NamedTuple):
     aggregate: float
 
 
-class PairScores:
-    """Similarity for some pairs, stored once per pair of weight-vector classes.
+class Block:
+    """The scores of one signature bucket, or of one run of a pair list.
 
-    `class_of` gives each character's class, and `profiles[c]` holds
-    class c's `(weight vector, self-weight)` in each subnetwork. The pair
-    (x, y) has the key `class_of[x] * len(class_of) + class_of[y]`, as no
-    class id reaches the number of characters, and `row_of[key]` is its
-    row in `table`, which `similarity_for_pairs` fills before it
-    returns: one `(scores, aggregate)` row per unordered class pair that
-    `pairs` meets, keyed in both orders. Iterating builds each pair's
-    `SimilarityResult`, in the order of `pairs`.
+    `members` are the block's characters, `local[i]` is the local class
+    of `members[i]`, and `classes[c]` is local class c's index into
+    `PairScores.profiles`. Scores are symmetric, so the block keeps the
+    upper triangle, one row per local class up to the last that heads a
+    run: entry d of row a is local class a against local class a + d.
+    `texts[a][d]` is the entry's score columns in `similarity.csv`, with
+    the line end, `aggregates[a][d]` its mean over all subnetworks, and
+    `columns[a][j][d]` its score in subnetwork j, where `columns[a][j]`
+    is None if class a is absent from j and every score there is +0.0.
+    `_mirror` gives a full row. It is a plain slotted class because
+    creating a `NamedTuple` class adds about 0.1 ms to every start-up
+    (Python 3.11).
+    """
+
+    __slots__ = ("members", "classes", "local", "texts", "aggregates", "columns")
+
+    def __init__(
+        self,
+        members: list[str],
+        classes: list[int],
+        local: list[int],
+        texts: Sequence[list[str]],
+        aggregates: Sequence[list[float]],
+        columns: Sequence[tuple[list[float] | None, ...]],
+    ):
+        self.members, self.classes, self.local = members, classes, local
+        self.texts, self.aggregates, self.columns = texts, aggregates, columns
+
+
+def _mirror(upper: Sequence[Sequence], a: int) -> list:
+    """Row a of a symmetric table kept as its upper triangle, whose `upper[c][d]` is entry (c, c + d)."""
+    return [*map(getitem, upper[:a], range(a, 0, -1)), *upper[a]]
+
+
+class PairScores:
+    """Similarity for some pairs, stored once per class pair of each block.
+
+    Characters whose weight vectors are equal in every subnetwork share
+    a class, and `profiles[c]` holds class c's weight vector and
+    self-weight per subnetwork. A `CandidateSet` gives one `Block` per
+    signature bucket, and a list of pairs one per run of equal first
+    members, `[x, *partners]`. `runs()` yields each run as
+    `(block, position, keep)`, as `CandidateSet.runs` does: the pairs of
+    a run are the members of its block after `position`, masked by
+    `keep`. Iterating builds each pair's `SimilarityResult`, in the
+    order of `pairs`; `scored` counts the class pairs scored, per block.
     """
 
     def __init__(
         self,
         pairs: Sequence[tuple[str, str]] | CandidateSet,
-        class_of: dict[str, int],
-        profiles: list[list[tuple[dict[str, int], int]]],
-        table: list[tuple[tuple[float, ...], float]],
-        row_of: dict[int, int],
+        blocks: list[Block],
+        profiles: list[tuple[tuple[dict[str, int], ...], tuple[int, ...]]],
     ):
         self.pairs = pairs
-        self.class_of = class_of
+        self.blocks = blocks
         self.profiles = profiles
-        self.table = table
-        self.row_of = row_of
+
+    def runs(self) -> Iterator[tuple[int, int, list[bool] | None]]:
+        if isinstance(self.pairs, CandidateSet):
+            return self.pairs.runs()
+        return zip(range(len(self.blocks)), repeat(0), repeat(None))
+
+    @property
+    def scored(self) -> int:
+        return sum(sum(map(len, block.texts)) for block in self.blocks)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __iter__(self) -> Iterator[SimilarityResult]:
-        table, row_of, class_of, n = self.table, self.row_of, self.class_of, len(self.class_of)
-        for x, y in self.pairs:
-            yield SimilarityResult(x, y, *table[row_of[class_of[x] * n + class_of[y]]])
+        for b, i, keep in self.runs():
+            block = self.blocks[b]
+            members, local, aggregates, columns = block.members, block.local, block.aggregates, block.columns
+            a = local[i]
+            for y, c in zip(run_slice(members, i, keep), run_slice(local, i, keep)):
+                low, d = (a, c - a) if a <= c else (c, a - c)
+                scores = tuple([0.0 if column is None else column[d] for column in columns[low]])
+                yield SimilarityResult(members[i], y, scores, aggregates[low][d])
 
 
 class RedundantGroupSet(NamedTuple):
@@ -238,45 +290,105 @@ def similarity_for_pairs(
     now: int,
     workers: int = 1,
 ) -> PairScores:
-    """Similarity for each pair, in input order, with every class pair scored on return.
+    """Similarity for each pair, in input order, with every block scored on return.
 
     Characters whose weight vectors are equal in every subnetwork form
-    one class, and each distinct unordered pair of classes that the
-    pairs meet is scored once, into one `PairScores.table` row. A
-    `CandidateSet` lists its class pairs from its buckets, without
-    walking its pairs; a list of pairs is walked once. A subnetwork
-    where either self-weight is 0 scores 0.0 without a dot product:
-    edge weights are positive, so that character has no entity there to
-    share. `workers` is ignored: the loop is serial. The keyword stays
-    because `bench/replay.py` passes it.
+    one class. Each signature bucket of a `CandidateSet`, or each run of
+    equal first members of a list of pairs, is one block: its members
+    get local class indices in order of first appearance, and `_row`
+    scores each class up to the last that heads a run against the local
+    classes from its own on, without walking the pairs. `workers` is
+    ignored: the loop is serial. The keyword stays because
+    `bench/replay.py` passes it.
     """
-    screened = isinstance(pairs, CandidateSet)
-    characters = chain.from_iterable(pairs.buckets) if screened else {c for pair in pairs for c in pair}
+    if isinstance(pairs, CandidateSet):
+        characters = chain.from_iterable(pairs.buckets)
+        # every member but a bucket's last heads a run
+        spans = [(members, len(members) - 1) for members in pairs.buckets]
+    else:
+        characters = {c for pair in pairs for c in pair}
+        spans = [([x, *map(itemgetter(1), run)], 1) for x, run in groupby(pairs, itemgetter(0))]
     class_of: dict[str, int] = {}
     class_ids: dict[tuple, int] = {}
     profiles = []
     for character in sorted(characters):
-        vectors = list(neighbor_weight_vector(bundle, character, now).values())
+        vectors = tuple(neighbor_weight_vector(bundle, character, now).values())
         key = tuple(tuple(sorted(vec.items())) for vec in vectors)
         cls = class_ids.get(key)
         if cls is None:
             cls = class_ids[key] = len(profiles)
-            profiles.append([(vec, _self_weight(vec)) for vec in vectors])
+            profiles.append((vectors, tuple(map(_self_weight, vectors))))
         class_of[character] = cls
-    n = len(class_of)
-    class_pairs = pairs.class_pairs(class_of) if screened else ((class_of[x], class_of[y]) for x, y in pairs)
-    table: list[tuple[tuple[float, ...], float]] = []
-    row_of: dict[int, int] = {}
-    for a, b in class_pairs:
-        key = a * n + b
-        if key not in row_of:
-            row_of[key] = row_of[b * n + a] = len(table)
-            scores = tuple([
-                _similarity(vec_a, vec_b, w_aa, w_bb) if w_aa and w_bb else 0.0
-                for (vec_a, w_aa), (vec_b, w_bb) in zip(profiles[a], profiles[b])
-            ])
-            table.append((scores, combine_subnetwork_scores(scores)))
-    return PairScores(pairs, class_of, profiles, table, row_of)
+    blocks = []
+    for members, heads in spans:
+        index: dict[int, int] = {}
+        local = [index.setdefault(class_of[member], len(index)) for member in members]
+        classes = list(index)
+        # per subnetwork, each local class's weight vector and self-weight
+        vectors, self_weights = (list(zip(*column)) for column in zip(*map(profiles.__getitem__, classes)))
+        rows = [
+            _row(profiles[classes[a]], vectors, self_weights, a, len(classes)) for a in range(max(local[:heads]) + 1)
+        ]
+        blocks.append(Block(members, classes, local, *zip(*rows)))
+    return PairScores(pairs, blocks, profiles)
+
+
+# an endless run of zeros, shared by every `map` that reads one
+_ZEROS = repeat(0)
+
+
+def _row(
+    profile: tuple[tuple[dict[str, int], ...], tuple[int, ...]],
+    vectors: list[tuple[dict[str, int], ...]],
+    self_weights: list[tuple[int, ...]],
+    start: int,
+    size: int,
+) -> tuple[list[str], list[float], tuple[list[float] | None, ...]]:
+    """One class's texts, aggregates and columns against a block's local classes from `start` on.
+
+    `vectors[j]` and `self_weights[j]` hold every local class's weight
+    vector and self-weight in subnetwork j. Only the class's active
+    subnetworks are scored, each entity of its vector with one C-level
+    `map` over the partners, unless the partners are fewer than its
+    entities: then each partner's dot product is one call. A subnetwork
+    the class is absent from scores +0.0 against everyone, so its column
+    text is a literal `0.0000`. The aggregate sums the active scores in
+    subnetwork order and divides by the number of subnetworks: the +0.0
+    terms it skips change no float sum.
+    """
+    own_vectors, own_weights = profile
+    width = len(own_weights)
+    columns: list[list[float] | None] = [None] * width
+    formats = ["0.0000"] * width
+    for j, own_weight in enumerate(own_weights):
+        if not own_weight:
+            continue
+        # the first partner is the class itself, whose W_xy is its self-weight: it scores exactly 1
+        column = columns[j] = [1.0]
+        own, partners, weights = own_vectors[j], vectors[j][start + 1 :], self_weights[j][start + 1 :]
+        # the Python loop runs over the fewer of the class's entities and the other partners
+        if len(own) <= len(partners):
+            cross = None
+            for entity, weight in own.items():
+                terms = map(mul, map(dict.get, partners, repeat(entity), _ZEROS), repeat(2 * weight))
+                cross = list(terms if cross is None else map(add, cross, terms))
+            # 2 * W_xy / (W_xx + W_yy); the class's own self-weight is positive, so no denominator is 0
+            column += map(truediv, cross, map(add, weights, repeat(own_weight)))
+        elif partners:
+            column += map(_similarity, repeat(own), partners, repeat(own_weight), weights)
+        formats[j] = "%.4f"
+    active = [column for column in columns if column is not None]
+    if active:
+        # `sum` of one score is that score
+        totals = active[0] if len(active) == 1 else map(sum, zip(*active))
+        aggregates = list(map(truediv, totals, repeat(width)))
+    else:
+        # no active subnetwork: the mean is 0, also over no subnetwork at all
+        aggregates = [0.0] * (size - start)
+    row_format = ",".join([*formats, "%.4f"]) + "\r\n"
+    # "%.4f" renders a float exactly as f"{value:.4f}" does
+    texts = list(map(row_format.__mod__, zip(*active, aggregates)))
+    return texts, aggregates, tuple(columns)
 
 
 # a float aggregate at most this far from theta is decided in exact arithmetic
@@ -284,53 +396,68 @@ _EXACT_BAND = 1e-9
 
 
 def _reaches_exactly(
-    profile_a: list[tuple[dict[str, int], int]], profile_b: list[tuple[dict[str, int], int]], theta: float
+    profile_a: tuple[tuple[dict[str, int], ...], tuple[int, ...]],
+    profile_b: tuple[tuple[dict[str, int], ...], tuple[int, ...]],
+    theta: float,
 ) -> bool:
-    """Whether two classes' exact mean of 2 * W_xy / (W_xx + W_yy) is at least `Fraction(repr(theta))`."""
-    # `fractions` loads `decimal`, so only a row within the band imports it
+    """Whether two classes' exact mean of 2 * W_xy / (W_xx + W_yy) is at least `Fraction(str(theta))`."""
+    # `fractions` loads `decimal`, so only an entry within the band imports it
     from fractions import Fraction
 
+    (vectors_a, weights_a), (vectors_b, weights_b) = profile_a, profile_b
     total = sum(
         (
             Fraction(2 * _cross_weight(vec_a, vec_b), w_aa + w_bb)
-            for (vec_a, w_aa), (vec_b, w_bb) in zip(profile_a, profile_b)
+            for vec_a, vec_b, w_aa, w_bb in zip(vectors_a, vectors_b, weights_a, weights_b)
             if w_aa and w_bb
         ),
         Fraction(0),
     )
     # with no subnetwork the mean is 0, below every theta
-    return bool(profile_a) and total >= len(profile_a) * Fraction(repr(theta))
+    return bool(weights_a) and total >= len(weights_a) * Fraction(str(theta))
 
 
 def group_by_threshold(results: PairScores, theta: float, now: int) -> RedundantGroupSet:
     """Union every pair whose class pair's exact mean score is at least theta.
 
-    Theta is read as the decimal it prints as, `Fraction(repr(theta))`,
-    so 0.9 is 9/10. A row whose float aggregate lies within
-    `_EXACT_BAND` of theta is decided by the exact mean of its classes'
-    integer weights, and every other row by its float, whose error is
-    far smaller than the band. The table is full from the moment
-    `similarity_for_pairs` returns, so the pairs are walked only when
-    some row reaches theta, whatever ran before.
+    Theta is read as the decimal it prints as, `Fraction(str(theta))`,
+    so 0.9 is 9/10, and a `Fraction` theta is read as itself. An entry
+    whose float aggregate lies within `_EXACT_BAND` of theta is decided
+    by the exact mean of its classes' integer weights, and every other
+    entry by its float, whose error is far smaller than the band. A row
+    whose largest aggregate is below theta and outside the band is
+    skipped whole, so the runs are walked only when some block has an
+    entry at theta, and then only that block's pairs are looked at.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    table, row_of, class_of, n = results.table, results.row_of, results.class_of, len(results.class_of)
-    reaches = [aggregate >= theta for _, aggregate in table]
-    near = {row for row, (_, aggregate) in enumerate(table) if abs(aggregate - theta) <= _EXACT_BAND}
-    if near:
-        profiles = results.profiles
-        # each row is keyed in both orders; decide it at its first key
-        for key, row in row_of.items():
-            if row in near:
-                near.remove(row)
-                a, b = divmod(key, n)
-                reaches[row] = _reaches_exactly(profiles[a], profiles[b], theta)
+    profiles = results.profiles
+    verdicts: dict[int, list[list[bool]]] = {}
+    for b, block in enumerate(results.blocks):
+        classes, rows = block.classes, block.aggregates
+        # a row with no entry at theta, long enough to stand in for any row of the block
+        upper, hit = [[False] * len(classes)] * len(rows), False
+        for a, aggregates in enumerate(rows):
+            top = max(aggregates)
+            # the float test below, on the largest aggregate, rules out every entry of the row
+            if top < theta and theta - top > _EXACT_BAND:
+                continue
+            reaches = list(map(ge, aggregates, repeat(theta)))
+            for d, aggregate in enumerate(aggregates):
+                if abs(aggregate - theta) <= _EXACT_BAND:
+                    reaches[d] = _reaches_exactly(profiles[classes[a]], profiles[classes[a + d]], theta)
+            if any(reaches):
+                upper[a], hit = reaches, True
+        if hit:
+            verdicts[b] = upper
     dsu = UnionFind()
-    if any(reaches):
-        for x, y in results.pairs:
-            if reaches[row_of[class_of[x] * n + class_of[y]]]:
-                dsu.union(x, y)
+    if verdicts:
+        for b, i, keep in results.runs():
+            if b in verdicts:
+                members, local = results.blocks[b].members, results.blocks[b].local
+                reaches = _mirror(verdicts[b], local[i])
+                for y in compress(run_slice(members, i, keep), map(reaches.__getitem__, run_slice(local, i, keep))):
+                    dsu.union(members[i], y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
 
 
@@ -347,29 +474,23 @@ def threshold_groups(
 def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str | Path) -> None:
     """One row per pair, one column per subnetwork in declaration order.
 
-    The table already holds every class pair's row, so each row's score
-    columns are rendered once, before the walk over the pairs. The
-    pairs are written one run at a time: a character and the members it
-    pairs with, whose rows all start with its `id,name,`. A
-    `CandidateSet` gives its runs; a list of pairs is cut into runs of
-    equal first members.
+    Every class pair's score columns were rendered by `_row`, so the
+    pairs are written one run at a time without a Python step per pair:
+    each row of a run starts with its character's `id,name,`, and the
+    run is that head joined over a slice of its block's member heads,
+    each followed by the text of its class in the mirrored row of the
+    run's class.
     """
     fields = character_fields(bundle)
-    row_of, class_of, n = results.row_of, results.class_of, len(results.class_of)
-    # "%.4f" renders a float exactly as f"{value:.4f}" does
-    score_format = ",".join(["%.4f"] * (len(bundle.relation_types()) + 1)) + "\r\n"
-    cols = [score_format % (*scores, aggregate) for scores, aggregate in results.table]
-    pairs = results.pairs
-    if isinstance(pairs, CandidateSet):
-        runs = pairs.runs()
-    else:
-        runs = ((x, [y for _, y in run]) for x, run in groupby(pairs, itemgetter(0)))
+    blocks = results.blocks
+    heads = [list(map(add, map(fields.__getitem__, block.members), repeat(","))) for block in blocks]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
-        for x, later in runs:
-            head, row = fields[x] + ",", class_of[x] * n
-            # `PairScores.row` written out: a call per pair would cost a third of the write
-            fh.write(head + head.join([f"{fields[y]},{cols[row_of[row + class_of[y]]]}" for y in later]))
+        for b, i, keep in results.runs():
+            line, local = heads[b], blocks[b].local
+            head, row = line[i], _mirror(blocks[b].texts, local[i])
+            later = map(add, line[i + 1 :], map(row.__getitem__, local[i + 1 :]))
+            fh.write(head + head.join(later if keep is None else compress(later, keep)))
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

@@ -56,10 +56,11 @@ def test_screen_and_dedupe_log_their_signature_buckets(tmp_path, caplog):
     assert "in 6 signature buckets (largest 2): 2 candidate pairs" in caplog.text
     caplog.clear()
     assert run("dedupe", *base_args(tmp_path), "--theta", "0.80", "--now", "2014") == 0
-    assert "dedupe: 6 signature buckets (largest 2), 2 candidates, 2 class pairs scored, 1 groups" in caplog.text
+    # each two-person bucket of two classes scores its upper triangle: the first class against both
+    assert "dedupe: 6 signature buckets (largest 2), 2 candidates, 4 class pairs scored, 1 groups" in caplog.text
     caplog.clear()
     assert run("simtap", *base_args(tmp_path), "--now", "2014") == 0
-    assert "similarity for 2 pairs at now=2014, 2 class pairs scored" in caplog.text
+    assert "similarity for 2 pairs at now=2014, 4 class pairs scored" in caplog.text
 
 
 def test_screen_on_empty_dataset_succeeds(tmp_path):

@@ -23,7 +23,7 @@ from tapmerge import (
 )
 from tapmerge.graph import GraphError
 from tapmerge.ingest import TransactionRecord
-from tapmerge.screening import NameFilter, write_candidates_csv
+from tapmerge.screening import NameFilter, run_slice, write_candidates_csv
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 
@@ -226,8 +226,10 @@ def assert_screen_matches_brute_force(bundle: NetworkBundle, name_filter: NameFi
     # every walk generates the pairs again from the buckets
     assert candidates.pair_ids() == expected
     assert len(candidates) == len(expected)
-    # the writers' walk: runs of one character and some of the later ones it pairs with
-    runs = list(candidates.runs())
+    # the writers' walk: runs of one character and a masked slice of the later members of its bucket
+    runs = [
+        (candidates.buckets[b][i], list(run_slice(candidates.buckets[b], i, keep))) for b, i, keep in candidates.runs()
+    ]
     assert [(x, y) for x, later in runs for y in later] == expected
     assert all(later for _, later in runs)
 

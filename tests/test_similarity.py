@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -198,6 +200,13 @@ def test_threshold_one_with_no_perfect_pair_is_empty():
     assert group_by_threshold(results, theta=1.0, now=2014).groups == []
 
 
+def test_a_fraction_theta_is_read_as_itself():
+    # equal vectors score exactly 1, inside the band around theta, so the pair is decided in `Fraction`s
+    bundle, x, y = pair_net([(2010, 2012)], [(2010, 2012)])
+    results = similarity_for_pairs(bundle, [(x, y)], now=2014)
+    assert group_by_threshold(results, theta=Fraction(1), now=2014).groups == [sorted([x, y])]
+
+
 def test_chained_pairs_collapse_into_one_group():
     bundle = NetworkBundle()
     people = [bundle.add_vertex(VertexKind.CHARACTER, "person", f"p{i}") for i in range(3)]
@@ -385,23 +394,25 @@ def weight_class(bundle: NetworkBundle, character: str, now: int) -> tuple:
 def test_each_class_pair_is_scored_once_in_a_popular_entity_bucket(monkeypatch):
     bundle = hot_entity_bundle(500)
     now = 2010
-    pairs = screen_candidates(bundle).pair_ids()
+    candidates = screen_candidates(bundle)
+    pairs = candidates.pair_ids()
     assert len(pairs) == 500 * 499 // 2
     key = {c: weight_class(bundle, c, now) for c in bundle.character_ids()}
-    class_pairs = {tuple(sorted((key[x], key[y]))) for x, y in pairs}
+    classes = len(set(key.values()))
 
     calls = 0
-    score = similarity._similarity
+    row = similarity._row
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return score(*args)
+        return row(*args)
 
-    monkeypatch.setattr(similarity, "_similarity", counted)
-    results = similarity_for_pairs(bundle, pairs, now)
-    assert calls <= len(class_pairs) < len(pairs) // 100
-    assert len(results.table) == len(class_pairs)
+    monkeypatch.setattr(similarity, "_row", counted)
+    results = similarity_for_pairs(bundle, candidates, now)
+    # one row per class, each against the classes from its own on: every unordered class pair once
+    assert calls <= classes
+    assert results.scored <= classes * (classes + 1) // 2 < len(pairs) // 100
 
     # equal weight vectors score 1 in the one active subnetwork of four
     theta = 0.25
@@ -432,9 +443,9 @@ def test_a_popular_entity_bucket_runs_in_memory_flat_in_its_pairs(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(candidates) == 600 * 599 // 2
-    # one class per distinct edge weight, and a row for each pair of them
+    # one class per distinct edge weight, and each unordered pair of them scored once
     classes = len({(2010 + 1 - (2000 + i % 7)) * (i % 5 + 1) for i in range(600)})
-    assert len(results.table) == classes * (classes + 1) // 2
+    assert results.scored == classes * (classes + 1) // 2
     assert groups.groups == []
     assert peak < 2 * 2**20
 
@@ -448,13 +459,13 @@ def test_grouping_walks_the_pairs_only_when_some_row_reaches_theta(monkeypatch):
     candidates = screen_candidates(bundle)
     results = similarity_for_pairs(bundle, candidates, now=2010)
     # one active subnetwork of four caps every score at 0.25
-    assert max(aggregate for _, aggregate in results.table) == 0.25
+    assert max(max(map(max, block.aggregates)) for block in results.blocks) == 0.25
 
     def walk(self):
         raise Walked
 
-    # no writer has run: the table alone decides whether to walk
-    monkeypatch.setattr(CandidateSet, "__iter__", walk)
+    # no writer has run: the rows alone decide whether to walk, and every walk of the pairs starts from the runs
+    monkeypatch.setattr(CandidateSet, "runs", walk)
     assert group_by_threshold(results, theta=0.8, now=2010).groups == []
     assert threshold_groups(candidates, bundle, theta=0.8, now=2010).groups == []
     with pytest.raises(Walked):
@@ -562,7 +573,11 @@ def bundles_with_shared_names(draw):
     """Clone bundles plus a popular-entity bucket, every person named one of 2-3 names.
 
     The fans' one edge each goes to the popular entity in one of three
-    intervals, so their bucket holds a few classes of a few members.
+    intervals, so their bucket holds a few classes of a few members. At
+    now = 2019 one more fan's edge weighs 4, and two or three people
+    hold two parallel edges of weight 2 each to the popular entity: the
+    same weight vector with another signature, so that class spans two
+    buckets.
     """
     bundle = draw(bundles_with_clones())
     names = [f"name {i}" for i in range(draw(st.integers(2, 3)))]
@@ -575,14 +590,18 @@ def bundles_with_shared_names(draw):
         Vertex(f"fan{i}", VertexKind.CHARACTER, "person", draw(st.sampled_from(names)))
         for i in range(draw(st.integers(2, 10)))
     ]
+    doubled = [
+        Vertex(f"twin{i}", VertexKind.CHARACTER, "person", draw(st.sampled_from(names)))
+        for i in range(draw(st.integers(2, 3)))
+    ]
     popular = Vertex("popular", VertexKind.ENTITY, "venue1", "popular paper")
     beta = bundle.relation_types()[0]
-    edges = [
-        TemporalEdge(None, fan.id, popular.id, beta, TimeInterval(2003, 2003 + draw(st.integers(0, 2))))
-        for fan in fans
-    ]
+    spans = [TimeInterval(2003, 2003 + draw(st.integers(0, 2))) for _ in fans[1:]] + [TimeInterval(2018, 2019)]
+    spans += [TimeInterval(2018, 2018)] * (2 * len(doubled))
+    holders = [*fans, *(person for person in doubled for _ in range(2))]
+    edges = [TemporalEdge(None, holder.id, popular.id, beta, span) for holder, span in zip(holders, spans)]
     entities = [v for v in bundle.vertices() if v.kind is VertexKind.ENTITY]
-    return rebuild([*entities, popular, *people, *fans], [*bundle.edges(), *edges], bundle.relation_types())
+    return rebuild([*entities, popular, *people, *fans, *doubled], [*bundle.edges(), *edges], bundle.relation_types())
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,8 +611,17 @@ def test_candidate_class_pairs_are_the_class_pairs_of_the_candidates(bundle, nam
     candidates = screen_candidates(bundle, name_filter)
     results = similarity_for_pairs(bundle, candidates, now)
     key = {c: weight_class(bundle, c, now) for c in bundle.character_ids()}
-    assert len(results.table) == len({tuple(sorted((key[x], key[y]))) for x, y in list(candidates)})
-    assert list(results) == list(similarity_for_pairs(bundle, candidates.pair_ids(), now))
+    # each block scores every unordered pair of its classes at most once: far fewer than its pairs on a popular entity
+    scored = set()
+    for b, block in enumerate(results.blocks):
+        classes = [key[block.members[block.local.index(c)]] for c in range(len(block.classes))]
+        for a, texts in enumerate(block.texts):
+            scored |= {(b, tuple(sorted((classes[a], classes[a + d])))) for d in range(len(texts))}
+    assert results.scored == len(scored)
+    assert results.scored <= sum(len(block.classes) * (len(block.classes) + 1) // 2 for block in results.blocks)
+    # and every class pair a candidate pair joins in its bucket is among them
+    bucket = {member: b for b, members in enumerate(candidates.buckets) for member in members}
+    assert {(bucket[x], tuple(sorted((key[x], key[y])))) for x, y in candidates} <= scored
 
 
 @st.composite
@@ -649,3 +677,28 @@ def test_grouping_at_theta_equals_exact_arithmetic(bundle, data):
                 reference.union(x, y)
         results = similarity_for_pairs(bundle, scored, now)
         assert group_by_threshold(results, float(theta), now).groups == reference.groups()
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundles_with_shared_names(), st.sampled_from(NameFilter), st.data())
+def test_a_candidate_set_and_its_pair_list_write_group_and_iterate_alike(bundle, name_filter, data):
+    now = 2019
+    candidates = screen_candidates(bundle, name_filter)
+    pairs = candidates.pair_ids()
+    exact = {(x, y): exact_simtap(bundle, x, y, now) for x, y in pairs}
+    # theta is some pair's exact mean, as the doubled people's 1/k is with k <= 2 subnetworks
+    ties = sorted({value for value in exact.values() if value > 0 and (value * 10**6).denominator == 1})
+    theta = float(data.draw(st.sampled_from(ties))) if ties else 0.8
+    reference = UnionFind()
+    for (x, y), value in exact.items():
+        if value >= Fraction(str(theta)):
+            reference.union(x, y)
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for scored in (candidates, pairs):
+            results = similarity_for_pairs(bundle, scored, now)
+            write_similarity_csv(bundle, results, Path(tmp) / "similarity.csv")
+            groups = group_by_threshold(results, theta, now).groups
+            outputs.append(((Path(tmp) / "similarity.csv").read_bytes(), groups, list(results)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] == reference.groups()
