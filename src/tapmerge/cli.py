@@ -124,9 +124,9 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     groups = group_by_threshold(results, args.theta, now)
     write_groups_json(groups, out / "groups.json")
     # the scores hold every class's weight vectors for exact decisions at theta,
-    # and the merge reads none of them
-    class_pairs = results.scored
-    del results
+    # and the candidates their buckets and runs; the merge reads none of them
+    screened = (candidates.bucket_count, candidates.largest_bucket, len(candidates), results.scored)
+    del candidates, results
 
     plan = plan_merge(bundle, groups.groups)
     merged = apply_merge(bundle, plan)
@@ -161,7 +161,7 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     log.info(
         "dedupe: %d signature buckets (largest %d), %d candidates, %d class pairs scored, %d groups, "
         "removed %d vertices (dropped %d, transferred %d edges)",
-        candidates.bucket_count, candidates.largest_bucket, len(candidates), class_pairs, len(groups.groups),
+        *screened, len(groups.groups),
         merged.audit.removed_vertices,
         merged.audit.dropped_edges, merged.audit.transferred_edges,
     )

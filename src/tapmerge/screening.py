@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import add, itemgetter, ne
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -88,67 +88,58 @@ def structure_error(bundle: NetworkBundle, x: str, y: str) -> StructureError:
 
 
 class CandidateSet:
-    """Unordered character pairs with structure error zero, kept as their buckets.
+    """Unordered character pairs, kept as blocks of characters and the runs over them.
 
-    Each of `buckets` holds two or more characters in id order, and
-    every pair inside a bucket is a candidate, except that a pair whose
-    display names are equal in `names` is skipped; `names` is None
-    unless the different-name filter applies. `runs` yields the pairs
-    one run at a time, a character and the members it pairs with, and
-    the writers consume them that way; iterating yields the same pairs
-    one by one, sorted by id. Both walk the buckets again each time;
-    `count` is the number of pairs. `class_pairs` lists the class pairs
-    they join from the buckets alone, and `similarity_for_pairs` scores
-    all of them before it returns. `bucket_count` and `largest_bucket`
-    describe the signature buckets before any name filter.
+    A run is one character and the later members of its block that it
+    pairs with; `runs` lists each as `(block, position)`, the
+    character being `buckets[block][position]`, in the order the pairs
+    come in. For `screen_candidates` each block is a signature bucket
+    of two or more characters in id order, every pair inside it is a
+    candidate, and the runs are in id order, so the pairs are sorted.
+    `labels` is None unless the different-name filter applies; then
+    `labels[block]` holds each member's display name, and a run skips
+    the later members named like its character. `later` selects a
+    run's partners, or the entries of any per-block list that line up
+    with them. Iterating walks the runs again each time; `count` is the
+    number of pairs. `bucket_count` and `largest_bucket` describe the
+    signature buckets before any name filter, and are 0 for `of_pairs`.
     """
 
     def __init__(
-        self, buckets: list[list[str]], names: dict[str, str] | None, count: int, bucket_count: int, largest_bucket: int
+        self,
+        buckets: list[list[str]],
+        runs: list[tuple[int, int]],
+        labels: list[list[str]] | None,
+        count: int,
+        bucket_count: int,
+        largest_bucket: int,
     ):
-        self.buckets = buckets
-        self.names = names
-        self.count = count
-        self.bucket_count = bucket_count
-        self.largest_bucket = largest_bucket
+        self.buckets, self.runs, self.labels = buckets, runs, labels
+        self.count, self.bucket_count, self.largest_bucket = count, bucket_count, largest_bucket
 
-    def runs(self) -> Iterator[tuple[int, int, list[bool] | None]]:
-        """Each bucketed character that pairs with someone, in id order, as `(bucket, position, keep)`.
+    @classmethod
+    def of_pairs(cls, pairs: Sequence[tuple[str, str]]) -> CandidateSet:
+        """`pairs` in their own order: one block `[x, *partners]` and one run per run of equal first members."""
+        buckets = [[x, *map(itemgetter(1), run)] for x, run in groupby(pairs, itemgetter(0))]
+        return cls(buckets, [(b, 0) for b in range(len(buckets))], None, len(pairs), 0, 0)
 
-        A character sits in one bucket, at `buckets[bucket][position]`,
-        and pairs with the members after it there. `keep` is None when
-        it pairs with all of them, and otherwise masks that slice: under
-        the different-name filter it is False where a later member has
-        the character's name. Visiting the characters in id order sorts
-        all pairs. A character with no such member yields no run.
-        """
-        buckets, names = self.buckets, self.names
-        where = {x: (b, i) for b, members in enumerate(buckets) for i, x in enumerate(members[:-1])}
-        bucket_names = None if names is None else [list(map(names.__getitem__, members)) for members in buckets]
-        for x in sorted(where):
-            b, i = where[x]
-            keep = None
-            if bucket_names is not None:
-                keep = list(map(ne, bucket_names[b][i + 1 :], repeat(names[x])))
-                if not any(keep):
-                    continue
-            yield b, i, keep
+    def later(self, items: Sequence[Any], b: int, i: int) -> Iterable[Any]:
+        """The entries of `items`, a list over block b's members, that line up with run (b, i)'s partners."""
+        if self.labels is None:
+            return items[i + 1 :]
+        names = self.labels[b]
+        return compress(items[i + 1 :], map(ne, names[i + 1 :], repeat(names[i])))
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        for b, i, keep in self.runs():
+        for b, i in self.runs:
             members = self.buckets[b]
-            yield from zip(repeat(members[i]), run_slice(members, i, keep))
+            yield from zip(repeat(members[i]), self.later(members, b, i))
 
     def pair_ids(self) -> list[tuple[str, str]]:
         return list(self)
 
     def __len__(self) -> int:
         return self.count
-
-
-def run_slice(items: Sequence[Any], i: int, keep: list[bool] | None) -> Iterable[Any]:
-    """The items of a per-bucket list after position `i` that a run's `keep` mask selects."""
-    return items[i + 1 :] if keep is None else compress(items[i + 1 :], keep)
 
 
 def _signature_buckets(bundle: NetworkBundle) -> list[list[str]]:
@@ -179,6 +170,21 @@ def _pair_count(buckets: list[list[str]]) -> int:
     return sum(len(members) * (len(members) - 1) // 2 for members in buckets)
 
 
+def _id_ordered_runs(buckets: list[list[str]], labels: list[list[str]] | None) -> list[tuple[int, int]]:
+    """Each bucketed character with a later member it pairs with, as `(bucket, position)`, in id order."""
+    heads: dict[str, tuple[int, int]] = {}
+    for b, members in enumerate(buckets):
+        positions: Sequence[int] = range(len(members) - 1)
+        if labels is not None:
+            names = labels[b]
+            # the members after `last` all have the last member's name, so a member
+            # pairs with a later one exactly when it comes before `last` or is named otherwise
+            last = max(j for j, name in enumerate(names) if name != names[-1])
+            positions = [i for i in positions if i < last or names[i] != names[-1]]
+        heads.update(zip(map(members.__getitem__, positions), zip(repeat(b), positions)))
+    return [heads[x] for x in sorted(heads)]
+
+
 def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilter.OFF) -> CandidateSet:
     """All unordered character pairs with structure error exactly zero.
 
@@ -188,26 +194,32 @@ def screen_candidates(bundle: NetworkBundle, name_filter: NameFilter = NameFilte
     of its internal pairs. Zero-degree characters never match (their
     error is defined as 1). The same-name filter splits each bucket
     into same-name sub-buckets; the different-name filter keeps the
-    buckets and skips the pairs those sub-buckets hold.
+    buckets of more than one name, with their names as labels, and
+    skips the pairs those sub-buckets hold. The runs are listed here,
+    once.
     """
     if not bundle.sealed:
         raise GraphError("bundle must be sealed before screening")
     signatures = _signature_buckets(bundle)
     buckets = [members for members in signatures if len(members) > 1]
-    count, names = _pair_count(buckets), None
+    count, labels = _pair_count(buckets), None
     if name_filter is not NameFilter.OFF:
-        names = {member: bundle.vertex(member).display_name for members in buckets for member in members}
+        labels = [[bundle.vertex(member).display_name for member in members] for members in buckets]
         same_name = []
-        for members in buckets:
+        for members, names in zip(buckets, labels):
             by_name: dict[str, list[str]] = {}
-            for member in members:
-                by_name.setdefault(names[member], []).append(member)
+            for member, name in zip(members, names):
+                by_name.setdefault(name, []).append(member)
             same_name.extend(sub for sub in by_name.values() if len(sub) > 1)
         if name_filter is NameFilter.SAME_NAME:
-            buckets, count, names = same_name, _pair_count(same_name), None
+            buckets, count, labels = same_name, _pair_count(same_name), None
         else:
             count -= _pair_count(same_name)
-    return CandidateSet(buckets, names, count, len(signatures), max(map(len, signatures), default=0))
+            # a bucket of one name holds no pair with different names
+            named = [b for b, names in enumerate(labels) if len(set(names)) > 1]
+            buckets, labels = [buckets[b] for b in named], [labels[b] for b in named]
+    runs = _id_ordered_runs(buckets, labels)
+    return CandidateSet(buckets, runs, labels, count, len(signatures), max(map(len, signatures), default=0))
 
 
 # -- CSV rendering shared by the candidate and similarity writers ------------
@@ -270,6 +282,6 @@ def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: 
     tails = [list(map(add, map(fields.__getitem__, members), repeat(",0.0000\r\n"))) for members in candidates.buckets]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
-        for b, i, keep in candidates.runs():
+        for b, i in candidates.runs:
             head = fields[candidates.buckets[b][i]] + ","
-            fh.write(head + head.join(run_slice(tails[b], i, keep)))
+            fh.write(head + head.join(candidates.later(tails[b], b, i)))

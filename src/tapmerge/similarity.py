@@ -19,15 +19,15 @@ character is absent from as 0.
 
 A pair's scores depend only on the two characters' aggregated weight
 vectors, so `similarity_for_pairs` puts characters with equal vectors in
-one class and scores one block at a time: a signature bucket of a
-`CandidateSet`, or a run of equal first members of a list of pairs.
-Each class of a block is scored against the block's classes from its
-own on, by one row routine of C-level `map`s that also renders the
-rows' `similarity.csv` text, so a bucket of thousands of people around
-one popular entity costs about its classes squared over two, not its
-pairs. `PairScores` keeps those rows and nothing per pair, and the
-writers and the grouping take each run's pairs as slices of per-block
-lists.
+one class and scores one block of a `CandidateSet` at a time; a list of
+pairs becomes one on entry, with a block per run of equal first
+members. Each class of a block is scored against the block's classes
+from its own on, by one row routine of C-level `map`s that also renders
+the rows' `similarity.csv` text, so a bucket of thousands of people
+around one popular entity costs about its classes squared over two, not
+its pairs. `PairScores` keeps those rows and nothing per pair, and the
+writers and the grouping walk the set's runs, taking each run's
+partners from per-block lists with `CandidateSet.later`.
 
 All accumulation is exact integer arithmetic; the single final division
 is the only float operation, so results are bit-reproducible and do not
@@ -43,13 +43,13 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterator, Sequence
-from itertools import chain, compress, groupby, repeat
-from operator import add, ge, getitem, itemgetter, mul, truediv
+from itertools import chain, compress, repeat
+from operator import add, ge, getitem, mul, truediv
 from pathlib import Path
 from typing import NamedTuple
 
 from .graph import GraphError, NetworkBundle, TemporalActivityNetwork, TemporalEdge, VertexKind
-from .screening import CandidateSet, character_fields, run_slice
+from .screening import CandidateSet, character_fields
 from .unionfind import UnionFind
 
 
@@ -83,13 +83,13 @@ class SimilarityResult(NamedTuple):
 
 
 class Block:
-    """The scores of one signature bucket, or of one run of a pair list.
+    """The scores of one block of a `CandidateSet`.
 
-    `members` are the block's characters, `local[i]` is the local class
-    of `members[i]`, and `classes[c]` is local class c's index into
-    `PairScores.profiles`. Scores are symmetric, so the block keeps the
-    upper triangle, one row per local class up to the last that heads a
-    run: entry d of row a is local class a against local class a + d.
+    `local[i]` is the local class of the block's member i, and
+    `classes[c]` is local class c's index into `PairScores.profiles`.
+    Scores are symmetric, so the block keeps the upper triangle, one row
+    per local class up to the last that heads a run: entry d of row a is
+    local class a against local class a + d.
     `texts[a][d]` is the entry's score columns in `similarity.csv`, with
     the line end, `aggregates[a][d]` its mean over all subnetworks, and
     `columns[a][j][d]` its score in subnetwork j, where `columns[a][j]`
@@ -99,18 +99,17 @@ class Block:
     (Python 3.11).
     """
 
-    __slots__ = ("members", "classes", "local", "texts", "aggregates", "columns")
+    __slots__ = ("classes", "local", "texts", "aggregates", "columns")
 
     def __init__(
         self,
-        members: list[str],
         classes: list[int],
         local: list[int],
         texts: Sequence[list[str]],
         aggregates: Sequence[list[float]],
         columns: Sequence[tuple[list[float] | None, ...]],
     ):
-        self.members, self.classes, self.local = members, classes, local
+        self.classes, self.local = classes, local
         self.texts, self.aggregates, self.columns = texts, aggregates, columns
 
 
@@ -120,33 +119,24 @@ def _mirror(upper: Sequence[Sequence], a: int) -> list:
 
 
 class PairScores:
-    """Similarity for some pairs, stored once per class pair of each block.
+    """Similarity for the pairs of a `CandidateSet`, stored once per class pair of each block.
 
     Characters whose weight vectors are equal in every subnetwork share
     a class, and `profiles[c]` holds class c's weight vector and
-    self-weight per subnetwork. A `CandidateSet` gives one `Block` per
-    signature bucket, and a list of pairs one per run of equal first
-    members, `[x, *partners]`. `runs()` yields each run as
-    `(block, position, keep)`, as `CandidateSet.runs` does: the pairs of
-    a run are the members of its block after `position`, masked by
-    `keep`. Iterating builds each pair's `SimilarityResult`, in the
-    order of `pairs`; `scored` counts the class pairs scored, per block.
+    self-weight per subnetwork. `blocks[b]` scores `pairs.buckets[b]`.
+    Iterating builds each pair's `SimilarityResult`, in the order of
+    `pairs`; `scored` counts the class pairs scored, per block.
     """
 
     def __init__(
         self,
-        pairs: Sequence[tuple[str, str]] | CandidateSet,
+        pairs: CandidateSet,
         blocks: list[Block],
         profiles: list[tuple[tuple[dict[str, int], ...], tuple[int, ...]]],
     ):
         self.pairs = pairs
         self.blocks = blocks
         self.profiles = profiles
-
-    def runs(self) -> Iterator[tuple[int, int, list[bool] | None]]:
-        if isinstance(self.pairs, CandidateSet):
-            return self.pairs.runs()
-        return zip(range(len(self.blocks)), repeat(0), repeat(None))
 
     @property
     def scored(self) -> int:
@@ -156,11 +146,12 @@ class PairScores:
         return len(self.pairs)
 
     def __iter__(self) -> Iterator[SimilarityResult]:
-        for b, i, keep in self.runs():
-            block = self.blocks[b]
-            members, local, aggregates, columns = block.members, block.local, block.aggregates, block.columns
+        pairs = self.pairs
+        for b, i in pairs.runs:
+            members, block = pairs.buckets[b], self.blocks[b]
+            local, aggregates, columns = block.local, block.aggregates, block.columns
             a = local[i]
-            for y, c in zip(run_slice(members, i, keep), run_slice(local, i, keep)):
+            for y, c in zip(pairs.later(members, b, i), pairs.later(local, b, i)):
                 low, d = (a, c - a) if a <= c else (c, a - c)
                 scores = tuple([0.0 if column is None else column[d] for column in columns[low]])
                 yield SimilarityResult(members[i], y, scores, aggregates[low][d])
@@ -238,17 +229,11 @@ def _cross_weight(vec_x: dict[str, int], vec_y: dict[str, int]) -> int:
     return w_xy
 
 
-def _similarity(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: int) -> float:
-    denominator = w_xx + w_yy
-    if denominator == 0:
-        return 0.0
-    return (2 * _cross_weight(vec_x, vec_y)) / denominator
-
-
 def simtap_beta(tan: TemporalActivityNetwork, x: str, y: str, now: int) -> float:
     """Path similarity of x and y within one subnetwork, in [0, 1]."""
     vec_x, vec_y = subnetwork_weights(tan, x, now), subnetwork_weights(tan, y, now)
-    return _similarity(vec_x, vec_y, _self_weight(vec_x), _self_weight(vec_y))
+    denominator = _self_weight(vec_x) + _self_weight(vec_y)
+    return 0.0 if denominator == 0 else 2 * _cross_weight(vec_x, vec_y) / denominator
 
 
 def combine_subnetwork_scores(scores: Sequence[float]) -> float:
@@ -292,26 +277,22 @@ def similarity_for_pairs(
 ) -> PairScores:
     """Similarity for each pair, in input order, with every block scored on return.
 
+    A list of pairs is made a `CandidateSet` first, by `of_pairs`.
     Characters whose weight vectors are equal in every subnetwork form
-    one class. Each signature bucket of a `CandidateSet`, or each run of
-    equal first members of a list of pairs, is one block: its members
-    get local class indices in order of first appearance, and `_row`
-    scores each class up to the last that heads a run against the local
-    classes from its own on, without walking the pairs. `workers` is
-    ignored: the loop is serial. The keyword stays because
-    `bench/replay.py` passes it.
+    one class. The members of each block get local class indices in
+    order of first appearance, and `_row` scores each class up to the
+    last that heads a run against the local classes from its own on,
+    without walking the pairs. `workers` is ignored: the loop is serial.
+    The keyword stays because `bench/replay.py` passes it.
     """
-    if isinstance(pairs, CandidateSet):
-        characters = chain.from_iterable(pairs.buckets)
-        # every member but a bucket's last heads a run
-        spans = [(members, len(members) - 1) for members in pairs.buckets]
-    else:
-        characters = {c for pair in pairs for c in pair}
-        spans = [([x, *map(itemgetter(1), run)], 1) for x, run in groupby(pairs, itemgetter(0))]
+    if not isinstance(pairs, CandidateSet):
+        pairs = CandidateSet.of_pairs(pairs)
     class_of: dict[str, int] = {}
     class_ids: dict[tuple, int] = {}
     profiles = []
-    for character in sorted(characters):
+    for character in chain.from_iterable(pairs.buckets):
+        if character in class_of:
+            continue
         vectors = tuple(neighbor_weight_vector(bundle, character, now).values())
         key = tuple(tuple(sorted(vec.items())) for vec in vectors)
         cls = class_ids.get(key)
@@ -319,17 +300,20 @@ def similarity_for_pairs(
             cls = class_ids[key] = len(profiles)
             profiles.append((vectors, tuple(map(_self_weight, vectors))))
         class_of[character] = cls
+    # a block's runs come in order of position, so this is each block's last run's position
+    last_head = dict(pairs.runs)
     blocks = []
-    for members, heads in spans:
+    for b, members in enumerate(pairs.buckets):
         index: dict[int, int] = {}
         local = [index.setdefault(class_of[member], len(index)) for member in members]
         classes = list(index)
         # per subnetwork, each local class's weight vector and self-weight
         vectors, self_weights = (list(zip(*column)) for column in zip(*map(profiles.__getitem__, classes)))
         rows = [
-            _row(profiles[classes[a]], vectors, self_weights, a, len(classes)) for a in range(max(local[:heads]) + 1)
+            _row(profiles[classes[a]], vectors, self_weights, a, len(classes))
+            for a in range(max(local[: last_head[b] + 1]) + 1)
         ]
-        blocks.append(Block(members, classes, local, *zip(*rows)))
+        blocks.append(Block(classes, local, *zip(*rows)))
     return PairScores(pairs, blocks, profiles)
 
 
@@ -349,8 +333,7 @@ def _row(
     `vectors[j]` and `self_weights[j]` hold every local class's weight
     vector and self-weight in subnetwork j. Only the class's active
     subnetworks are scored, each entity of its vector with one C-level
-    `map` over the partners, unless the partners are fewer than its
-    entities: then each partner's dot product is one call. A subnetwork
+    `map` over the partners. A subnetwork
     the class is absent from scores +0.0 against everyone, so its column
     text is a literal `0.0000`. The aggregate sums the active scores in
     subnetwork order and divides by the number of subnetworks: the +0.0
@@ -366,16 +349,13 @@ def _row(
         # the first partner is the class itself, whose W_xy is its self-weight: it scores exactly 1
         column = columns[j] = [1.0]
         own, partners, weights = own_vectors[j], vectors[j][start + 1 :], self_weights[j][start + 1 :]
-        # the Python loop runs over the fewer of the class's entities and the other partners
-        if len(own) <= len(partners):
-            cross = None
-            for entity, weight in own.items():
-                terms = map(mul, map(dict.get, partners, repeat(entity), _ZEROS), repeat(2 * weight))
-                cross = list(terms if cross is None else map(add, cross, terms))
-            # 2 * W_xy / (W_xx + W_yy); the class's own self-weight is positive, so no denominator is 0
-            column += map(truediv, cross, map(add, weights, repeat(own_weight)))
-        elif partners:
-            column += map(_similarity, repeat(own), partners, repeat(own_weight), weights)
+        # a positive self-weight means at least one entity, so `cross` is a list
+        cross = None
+        for entity, weight in own.items():
+            terms = map(mul, map(dict.get, partners, repeat(entity), _ZEROS), repeat(2 * weight))
+            cross = list(terms if cross is None else map(add, cross, terms))
+        # 2 * W_xy / (W_xx + W_yy); the class's own self-weight is positive, so no denominator is 0
+        column += map(truediv, cross, map(add, weights, repeat(own_weight)))
         formats[j] = "%.4f"
     active = [column for column in columns if column is not None]
     if active:
@@ -452,11 +432,12 @@ def group_by_threshold(results: PairScores, theta: float, now: int) -> Redundant
             verdicts[b] = upper
     dsu = UnionFind()
     if verdicts:
-        for b, i, keep in results.runs():
+        pairs = results.pairs
+        for b, i in pairs.runs:
             if b in verdicts:
-                members, local = results.blocks[b].members, results.blocks[b].local
+                members, local = pairs.buckets[b], results.blocks[b].local
                 reaches = _mirror(verdicts[b], local[i])
-                for y in compress(run_slice(members, i, keep), map(reaches.__getitem__, run_slice(local, i, keep))):
+                for y in compress(pairs.later(members, b, i), map(reaches.__getitem__, pairs.later(local, b, i))):
                     dsu.union(members[i], y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
 
@@ -482,16 +463,17 @@ def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str |
     run's class.
     """
     fields = character_fields(bundle)
-    blocks = results.blocks
-    heads = [list(map(add, map(fields.__getitem__, block.members), repeat(","))) for block in blocks]
+    pairs, blocks = results.pairs, results.blocks
+    heads = [list(map(add, map(fields.__getitem__, members), repeat(","))) for members in pairs.buckets]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", *bundle.relation_types(), "simtap"])
-        for b, i, keep in results.runs():
+        for b, i in pairs.runs:
             line, local = heads[b], blocks[b].local
             head, row = line[i], _mirror(blocks[b].texts, local[i])
-            later = map(add, line[i + 1 :], map(row.__getitem__, local[i + 1 :]))
-            fh.write(head + head.join(later if keep is None else compress(later, keep)))
+            later = map(add, pairs.later(line, b, i), map(row.__getitem__, pairs.later(local, b, i)))
+            fh.write(head + head.join(later))
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(groups.to_dict(), indent=2) + "\n", encoding="utf-8")
+    """The groups as JSON; a `Fraction` theta is written as its nearest float."""
+    Path(path).write_text(json.dumps(groups.to_dict(), indent=2, default=float) + "\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tapmerge import NetworkBundle, export, load
-from tapmerge import cli
+from tapmerge import cli, screening
 from tapmerge.cli import main
 from tapmerge.testkit import PlantMode, RandomBundleSpec, generate, plant_duplicates
 
@@ -61,6 +61,25 @@ def test_screen_and_dedupe_log_their_signature_buckets(tmp_path, caplog):
     caplog.clear()
     assert run("simtap", *base_args(tmp_path), "--now", "2014") == 0
     assert "similarity for 2 pairs at now=2014, 4 class pairs scored" in caplog.text
+
+
+def test_one_dedupe_lists_the_runs_once(tmp_path, monkeypatch):
+    listed = []
+
+    def count(buckets, labels):
+        listed.append(len(buckets))
+        return id_ordered_runs(buckets, labels)
+
+    def convert(pairs):
+        raise AssertionError("dedupe hands its candidate set on, not a pair list")
+
+    id_ordered_runs = screening._id_ordered_runs
+    monkeypatch.setattr(screening, "_id_ordered_runs", count)
+    monkeypatch.setattr(screening.CandidateSet, "of_pairs", convert)
+    assert run("dedupe", *base_args(tmp_path), "--theta", "0.80", "--now", "2014") == 0
+    # the writers and the grouping (one group reaches theta) all walk that one list
+    assert listed == [2]
+    assert json.loads((tmp_path / "groups.json").read_text())["groups"] != []
 
 
 def test_screen_on_empty_dataset_succeeds(tmp_path):

@@ -23,7 +23,7 @@ from tapmerge import (
 )
 from tapmerge.graph import GraphError
 from tapmerge.ingest import TransactionRecord
-from tapmerge.screening import NameFilter, run_slice, write_candidates_csv
+from tapmerge.screening import CandidateSet, NameFilter, write_candidates_csv
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 
@@ -226,12 +226,13 @@ def assert_screen_matches_brute_force(bundle: NetworkBundle, name_filter: NameFi
     # every walk generates the pairs again from the buckets
     assert candidates.pair_ids() == expected
     assert len(candidates) == len(expected)
-    # the writers' walk: runs of one character and a masked slice of the later members of its bucket
-    runs = [
-        (candidates.buckets[b][i], list(run_slice(candidates.buckets[b], i, keep))) for b, i, keep in candidates.runs()
-    ]
+    # the writers' walk: runs of one character and the later members of its bucket that `later` selects
+    runs = [(candidates.buckets[b][i], list(candidates.later(candidates.buckets[b], b, i))) for b, i in candidates.runs]
     assert [(x, y) for x, later in runs for y in later] == expected
     assert all(later for _, later in runs)
+    # listed once, in strictly increasing character id
+    heads = [x for x, _ in runs]
+    assert heads == sorted(set(heads))
 
 
 @pytest.mark.parametrize("name_filter", list(NameFilter))
@@ -262,6 +263,31 @@ def test_bucket_counts_cover_every_character_with_an_edge():
     # three shapes plus the parallel-edge near miss; the two zero-degree characters join none
     assert candidates.bucket_count == 4
     assert candidates.largest_bucket == 4
+
+
+def test_a_pair_list_iterates_back_from_its_candidate_set(scholar_ids):
+    fei, faye = scholar_ids["Fei Wu"], scholar_ids["Faye Wu"]
+    for pairs in (
+        [],
+        # `simtap --pair "Fei Wu,Faye Wu"`: the later id first
+        [(fei, faye)],
+        [(faye, fei)],
+        # repeated first members that are not contiguous, out of id order
+        [("c3", "c1"), ("c1", "c2"), ("c3", "c2"), ("c1", "c4"), ("c1", "c3")],
+    ):
+        candidates = CandidateSet.of_pairs(pairs)
+        assert list(candidates) == pairs
+        assert len(candidates) == len(pairs)
+    # one block and one run per run of equal first members
+    candidates = CandidateSet.of_pairs([("c3", "c1"), ("c3", "c2"), ("c1", "c2"), ("c3", "c4")])
+    assert candidates.buckets == [["c3", "c1", "c2"], ["c1", "c2"], ["c3", "c4"]]
+    assert candidates.runs == [(0, 0), (1, 0), (2, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations([(x, y) for x in "abcd" for y in "abcd" if x != y]), st.integers(0, 12))
+def test_a_shuffled_pair_list_iterates_back_from_its_candidate_set(pairs, size):
+    assert list(CandidateSet.of_pairs(pairs[:size])) == pairs[:size]
 
 
 # -- randomized properties ---------------------------------------------------

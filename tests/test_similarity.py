@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import tempfile
 import tracemalloc
@@ -33,7 +34,13 @@ from tapmerge import (
 )
 from tapmerge.graph import GraphError, TemporalEdge, TimeInterval
 from tapmerge.screening import CandidateSet, NameFilter, structure_error, write_candidates_csv
-from tapmerge.similarity import FutureEdgeError, TapPath, group_by_threshold, write_similarity_csv
+from tapmerge.similarity import (
+    FutureEdgeError,
+    TapPath,
+    group_by_threshold,
+    write_groups_json,
+    write_similarity_csv,
+)
 from tapmerge.testkit import (
     PlantMode,
     RandomBundleSpec,
@@ -45,6 +52,7 @@ from tapmerge.testkit import (
 from tapmerge.unionfind import UnionFind
 
 from conftest import SCHOLAR_NOW
+from test_screening import assert_screen_matches_brute_force
 
 
 def edge(start: int, end: int, rid="r1", character="c", entity="e") -> TemporalEdge:
@@ -205,6 +213,16 @@ def test_a_fraction_theta_is_read_as_itself():
     bundle, x, y = pair_net([(2010, 2012)], [(2010, 2012)])
     results = similarity_for_pairs(bundle, [(x, y)], now=2014)
     assert group_by_threshold(results, theta=Fraction(1), now=2014).groups == [sorted([x, y])]
+
+
+def test_groups_json_writes_a_fraction_theta_as_its_nearest_float(scholars_bundle, scholar_ids, tmp_path):
+    results = similarity_for_pairs(scholars_bundle, screen_candidates(scholars_bundle), now=SCHOLAR_NOW)
+    for theta, name in ((Fraction(4, 5), "fraction.json"), (0.8, "float.json")):
+        write_groups_json(group_by_threshold(results, theta, SCHOLAR_NOW), tmp_path / name)
+    assert (tmp_path / "fraction.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+    written = json.loads((tmp_path / "fraction.json").read_text())
+    assert written["theta"] == 0.8
+    assert written["groups"] == [sorted([scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]])]
 
 
 def test_chained_pairs_collapse_into_one_group():
@@ -461,11 +479,12 @@ def test_grouping_walks_the_pairs_only_when_some_row_reaches_theta(monkeypatch):
     # one active subnetwork of four caps every score at 0.25
     assert max(max(map(max, block.aggregates)) for block in results.blocks) == 0.25
 
-    def walk(self):
+    def walk(self, items, b, i):
         raise Walked
 
-    # no writer has run: the rows alone decide whether to walk, and every walk of the pairs starts from the runs
-    monkeypatch.setattr(CandidateSet, "runs", walk)
+    # no writer has run: the rows alone decide whether to walk, and every walk of the pairs takes a run's partners
+    # from `later`
+    monkeypatch.setattr(CandidateSet, "later", walk)
     assert group_by_threshold(results, theta=0.8, now=2010).groups == []
     assert threshold_groups(candidates, bundle, theta=0.8, now=2010).groups == []
     with pytest.raises(Walked):
@@ -606,6 +625,12 @@ def bundles_with_shared_names(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(bundles_with_shared_names(), st.sampled_from(NameFilter))
+def test_screened_runs_are_id_ordered_with_partners_and_equal_brute_force(bundle, name_filter):
+    assert_screen_matches_brute_force(bundle, name_filter)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundles_with_shared_names(), st.sampled_from(NameFilter))
 def test_candidate_class_pairs_are_the_class_pairs_of_the_candidates(bundle, name_filter):
     now = 2019
     candidates = screen_candidates(bundle, name_filter)
@@ -614,7 +639,7 @@ def test_candidate_class_pairs_are_the_class_pairs_of_the_candidates(bundle, nam
     # each block scores every unordered pair of its classes at most once: far fewer than its pairs on a popular entity
     scored = set()
     for b, block in enumerate(results.blocks):
-        classes = [key[block.members[block.local.index(c)]] for c in range(len(block.classes))]
+        classes = [key[candidates.buckets[b][block.local.index(c)]] for c in range(len(block.classes))]
         for a, texts in enumerate(block.texts):
             scored |= {(b, tuple(sorted((classes[a], classes[a + d])))) for d in range(len(texts))}
     assert results.scored == len(scored)
