@@ -99,10 +99,11 @@ class CandidateSet:
     `labels` is None unless the different-name filter applies; then
     `labels[block]` holds each member's display name, and a run skips
     the later members named like its character. `later` selects a
-    run's partners, or the entries of any per-block list that line up
-    with them. Iterating walks the runs again each time; `count` is the
-    number of pairs. `bucket_count` and `largest_bucket` describe the
-    signature buckets before any name filter, and are 0 for `of_pairs`.
+    run's partners, or the entries of any per-block lists that line up
+    with them, with one name mask for all the lists. Iterating walks the
+    runs again each time; `count` is the number of pairs. `bucket_count`
+    and `largest_bucket` describe the signature buckets before any name
+    filter, and are 0 for `of_pairs`.
     """
 
     def __init__(
@@ -123,17 +124,22 @@ class CandidateSet:
         buckets = [[x, *map(itemgetter(1), run)] for x, run in groupby(pairs, itemgetter(0))]
         return cls(buckets, [(b, 0) for b in range(len(buckets))], None, len(pairs), 0, 0)
 
-    def later(self, items: Sequence[Any], b: int, i: int) -> Iterable[Any]:
-        """The entries of `items`, a list over block b's members, that line up with run (b, i)'s partners."""
+    def later(self, b: int, i: int, *lists: Sequence[Any]) -> list[Iterable[Any]]:
+        """For each of `lists`, lists over block b's members, its entries that line up with run (b, i)'s partners.
+
+        Under the different-name filter one mask, built once, selects from every list.
+        """
         if self.labels is None:
-            return items[i + 1 :]
+            return [items[i + 1 :] for items in lists]
         names = self.labels[b]
-        return compress(items[i + 1 :], map(ne, names[i + 1 :], repeat(names[i])))
+        keep = list(map(ne, names[i + 1 :], repeat(names[i])))
+        return [compress(items[i + 1 :], keep) for items in lists]
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         for b, i in self.runs:
             members = self.buckets[b]
-            yield from zip(repeat(members[i]), self.later(members, b, i))
+            (partners,) = self.later(b, i, members)
+            yield from zip(repeat(members[i]), partners)
 
     def pair_ids(self) -> list[tuple[str, str]]:
         return list(self)
@@ -284,4 +290,5 @@ def write_candidates_csv(bundle: NetworkBundle, candidates: CandidateSet, path: 
         csv.writer(fh).writerow(["x_id", "x_name", "y_id", "y_name", "structure_error"])
         for b, i in candidates.runs:
             head = fields[candidates.buckets[b][i]] + ","
-            fh.write(head + head.join(candidates.later(tails[b], b, i)))
+            (partner_tails,) = candidates.later(b, i, tails[b])
+            fh.write(head + head.join(partner_tails))

@@ -151,7 +151,7 @@ class PairScores:
             members, block = pairs.buckets[b], self.blocks[b]
             local, aggregates, columns = block.local, block.aggregates, block.columns
             a = local[i]
-            for y, c in zip(pairs.later(members, b, i), pairs.later(local, b, i)):
+            for y, c in zip(*pairs.later(b, i, members, local)):
                 low, d = (a, c - a) if a <= c else (c, a - c)
                 scores = tuple([0.0 if column is None else column[d] for column in columns[low]])
                 yield SimilarityResult(members[i], y, scores, aggregates[low][d])
@@ -437,7 +437,8 @@ def group_by_threshold(results: PairScores, theta: float, now: int) -> Redundant
             if b in verdicts:
                 members, local = pairs.buckets[b], results.blocks[b].local
                 reaches = _mirror(verdicts[b], local[i])
-                for y in compress(pairs.later(members, b, i), map(reaches.__getitem__, pairs.later(local, b, i))):
+                partners, classes = pairs.later(b, i, members, local)
+                for y in compress(partners, map(reaches.__getitem__, classes)):
                     dsu.union(members[i], y)
     return RedundantGroupSet(groups=dsu.groups(), theta=theta, now=now)
 
@@ -470,8 +471,8 @@ def write_similarity_csv(bundle: NetworkBundle, results: PairScores, path: str |
         for b, i in pairs.runs:
             line, local = heads[b], blocks[b].local
             head, row = line[i], _mirror(blocks[b].texts, local[i])
-            later = map(add, pairs.later(line, b, i), map(row.__getitem__, pairs.later(local, b, i)))
-            fh.write(head + head.join(later))
+            partners, classes = pairs.later(b, i, line, local)
+            fh.write(head + head.join(map(add, partners, map(row.__getitem__, classes))))
 
 
 def write_groups_json(groups: RedundantGroupSet, path: str | Path) -> None:

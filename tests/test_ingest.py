@@ -10,10 +10,10 @@ import tracemalloc
 
 import pytest
 
-from tapmerge import DatasetManifest, NetworkBundle, TransactionRecord, VertexKind, export, load, load_records
+from tapmerge import DatasetManifest, NetworkBundle, TransactionRecord, VertexKind, export, load, load_records, rebuild
 from tapmerge.cli import main
 from tapmerge.graph import DuplicateIdError, TimeInterval
-from tapmerge.ingest import RECORDS_HEADER, IngestError
+from tapmerge.ingest import _CHUNK, RECORDS_HEADER, IngestError
 from tapmerge.testkit import RandomBundleSpec, generate
 
 from conftest import SCHOLARS_MANIFEST
@@ -376,19 +376,39 @@ def test_records_csv_of_random_bundles_equals_the_reference(tmp_path, seed):
     assert path.read_bytes() == reference.read_bytes()
 
 
-def test_records_export_holds_one_characters_rows_at_a_time(tmp_path):
-    # 8,000 people with about 48,000 edges: 0.9 MB on Python 3.11; sorting every
-    # edge at once peaked at 4.8 MB, and keeping each person's `id,name` text at 1.9 MB
-    bundle = generate(RandomBundleSpec(characters=8000, entities_per_type=2000, relation_types=4, seed=3))
+@pytest.fixture(scope="module")
+def people_8000() -> NetworkBundle:
+    """8,000 people with 47,941 edges."""
+    return generate(RandomBundleSpec(characters=8000, entities_per_type=2000, relation_types=4, seed=3))
+
+
+def traced_peak(call) -> tuple[int, object]:
+    """The `tracemalloc` peak of `call()` above the memory traced before it, and its result."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        export(bundle, "records-csv", tmp_path / "records.csv")
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
     finally:
         tracemalloc.stop()
+
+
+def test_records_export_holds_one_characters_rows_at_a_time(tmp_path, people_8000):
+    # 0.9 MB on Python 3.11; sorting every edge at once peaked at 4.8 MB,
+    # and keeping each person's `id,name` text at 1.9 MB
+    peak, _ = traced_peak(lambda: export(people_8000, "records-csv", tmp_path / "records.csv"))
     assert peak < 1.5 * 2**20
+
+
+def test_load_holds_little_beside_the_bundle_it_builds(tmp_path, people_8000):
+    # 14.63 MB on Python 3.11, of which the bundle and report keep 13.71 MB; a second
+    # memo of each row's raw character and entity text peaked at 16.04 MB
+    path = tmp_path / "records.csv"
+    export(people_8000, "records-csv", path)
+    peak, (bundle, report) = traced_peak(lambda: load(path))
+    assert (report.loaded_rows, bundle.edge_count) == (47941, 47941)
+    assert peak < 15 * 2**20
 
 
 def test_dot_export_draws_every_vertex_and_edge(tmp_path, club):
@@ -430,13 +450,27 @@ def awkward_names_bundle() -> NetworkBundle:
     return bundle.seal()
 
 
-@pytest.mark.parametrize("which", ["awkward names", "empty", "scholars"])
+def random_edges_bundle(edges: int, seed: int) -> NetworkBundle:
+    """A `testkit` bundle's vertices with `edges` of its edges, drawn in random order."""
+    bundle = generate(RandomBundleSpec(characters=600, entities_per_type=50, relation_types=3, seed=seed))
+    kept = random.Random(seed).sample(list(bundle.edges()), edges)
+    return rebuild(bundle.vertices(), kept, bundle.relation_types())
+
+
+# the writer joins `_CHUNK` records per write: no edge, one, exactly one chunk, and one more
+CHUNK_EDGES = {f"{n} random edges": n for n in (0, 1, _CHUNK, _CHUNK + 1)}
+
+
+@pytest.mark.parametrize("which", ["awkward names", "empty", "scholars", *CHUNK_EDGES])
 def test_graph_json_bytes_equal_json_dumps(tmp_path, scholars_bundle, which):
     bundle = {
         "awkward names": awkward_names_bundle,
         "empty": lambda: NetworkBundle().seal(),
         "scholars": lambda: scholars_bundle,
+        **{name: lambda n=n: random_edges_bundle(n, seed=n) for name, n in CHUNK_EDGES.items()},
     }[which]()
+    if which in CHUNK_EDGES:
+        assert bundle.edge_count == CHUNK_EDGES[which]
     path = tmp_path / "graph.json"
     export(bundle, "graph-json", path)
     assert path.read_bytes() == graph_json_reference(bundle).encode("utf-8")

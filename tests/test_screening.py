@@ -227,7 +227,7 @@ def assert_screen_matches_brute_force(bundle: NetworkBundle, name_filter: NameFi
     assert candidates.pair_ids() == expected
     assert len(candidates) == len(expected)
     # the writers' walk: runs of one character and the later members of its bucket that `later` selects
-    runs = [(candidates.buckets[b][i], list(candidates.later(candidates.buckets[b], b, i))) for b, i in candidates.runs]
+    runs = [(candidates.buckets[b][i], list(*candidates.later(b, i, candidates.buckets[b]))) for b, i in candidates.runs]
     assert [(x, y) for x, later in runs for y in later] == expected
     assert all(later for _, later in runs)
     # listed once, in strictly increasing character id

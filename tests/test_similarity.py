@@ -479,7 +479,7 @@ def test_grouping_walks_the_pairs_only_when_some_row_reaches_theta(monkeypatch):
     # one active subnetwork of four caps every score at 0.25
     assert max(max(map(max, block.aggregates)) for block in results.blocks) == 0.25
 
-    def walk(self, items, b, i):
+    def walk(self, b, i, *lists):
         raise Walked
 
     # no writer has run: the rows alone decide whether to walk, and every walk of the pairs takes a run's partners
@@ -491,6 +491,42 @@ def test_grouping_walks_the_pairs_only_when_some_row_reaches_theta(monkeypatch):
         group_by_threshold(results, theta=0.25, now=2010)
     with pytest.raises(Walked):
         threshold_groups(candidates, bundle, theta=0.25, now=2010)
+
+
+class CountedNames(list):
+    """A block's display names, counting the slices taken of them: one per name mask built."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            CountedNames.slices += 1
+        return super().__getitem__(key)
+
+
+def test_each_walk_builds_one_name_mask_per_run(tmp_path):
+    # one bucket of three names; each person's interval differs, so the bucket holds several classes
+    bundle = awkward_names_bundle(["A", "B", "A", "C", "B", "A", "A", "C"])
+    candidates = screen_candidates(bundle, NameFilter.DIFFERENT_NAME)
+    results = similarity_for_pairs(bundle, candidates, now=2010)
+    expected = list(results)
+    # 28 pairs, 8 of them between equal names
+    assert candidates.runs and len(expected) == len(candidates) == 20
+    candidates.labels = [CountedNames(names) for names in candidates.labels]
+    walks = {
+        "candidates.csv": lambda: write_candidates_csv(bundle, candidates, tmp_path / "candidates.csv"),
+        "pairs": lambda: list(candidates),
+        "similarity.csv": lambda: write_similarity_csv(bundle, results, tmp_path / "similarity.csv"),
+        "results": lambda: list(results),
+        # every class scores itself 1/2 here, so every block has an entry at theta
+        "groups": lambda: group_by_threshold(results, theta=0.5, now=2010),
+    }
+    for name, walk in walks.items():
+        CountedNames.slices = 0
+        walk()
+        assert CountedNames.slices == len(candidates.runs), name
+    assert list(results) == expected
+    assert (tmp_path / "similarity.csv").read_bytes() == similarity_reference(bundle, results)
 
 
 # -- randomized properties ---------------------------------------------------
