@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, namedtuple
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -98,25 +99,21 @@ def _fresh_id(prefix: str, counter: int, taken: dict[str, Vertex] | set[str]) ->
 
 
 class TemporalActivityNetwork:
-    """All edges of one relation type, in insertion order and per character.
-
-    A character's edges are its temporal activity path in this subnetwork.
-    """
+    """All edges of one relation type, each held once, in its character's temporal activity path."""
 
     def __init__(self, relation_type: str):
         self.relation_type = relation_type
-        self._edges: list[TemporalEdge] = []
         self._by_character: dict[str, list[TemporalEdge]] = {}
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._by_character.values()))
 
     def _add(self, edge: TemporalEdge) -> None:
-        self._edges.append(edge)
         self._by_character.setdefault(edge.character, []).append(edge)
 
     def edges(self) -> Iterator[TemporalEdge]:
-        return iter(self._edges)
+        """Every edge, one character's path at a time, in the order of each character's first edge."""
+        return chain.from_iterable(self._by_character.values())
 
     def edges_of_character(self, character: str) -> list[TemporalEdge]:
         """The character's edges in insertion order, as a new list the caller may change."""
@@ -252,14 +249,14 @@ class NetworkBundle:
         """A sealed bundle without the `absorbed` characters, and the number of edges it re-filed.
 
         `absorbed` maps each removed character to its representative, a
-        character not itself absorbed, as :func:`apply_merge` checks. An
-        edge of an absorbed character is left out when its relation id is
-        in `dropped`, and otherwise re-filed under the representative at
-        the same position. The result equals what :func:`rebuild` gives
-        for the remaining vertices and edges, in every order it exposes,
-        but it shares the subnetworks no absorbed character has edges in,
-        the untouched characters' edge lists and the edges themselves with
-        this bundle, which must therefore be sealed.
+        character not itself absorbed, as :func:`apply_merge` checks, in
+        plan order. Only their paths are walked. A representative's path
+        becomes its own edges, then its absorbed members' edges whose
+        relation ids are not `dropped`, in plan order; it keeps its place,
+        or follows every other path where it had none. The result equals
+        :func:`rebuild` of its own :meth:`edges` in every order it exposes,
+        but shares every other subnetwork, path and edge with this bundle,
+        which must therefore be sealed.
         """
         if not self._sealed:
             raise GraphError("derive from an unsealed bundle; seal it first")
@@ -269,32 +266,27 @@ class NetworkBundle:
         for character in absorbed:
             del derived._vertices[character]
         for relation_type, tan in self._subnetworks.items():
-            present = [character for character in absorbed if character in tan._by_character]
+            paths = tan._by_character
+            present = [character for character in absorbed if character in paths]
             if not present:
                 derived._subnetworks[relation_type] = tan
                 continue
-            by_character = tan._by_character.copy()
-            rebuilt: dict[str, list[TemporalEdge]] = {}
+            by_character = paths.copy()
+            # each representative's kept edges, so its path is built once
+            gained: dict[str, list[TemporalEdge]] = {}
             for character in present:
-                del by_character[character]
-                rebuilt[absorbed[character]] = []
-            edges: list[TemporalEdge] = []
-            for edge in tan._edges:
-                character = edge.character
-                representative = absorbed.get(character)
-                if representative is not None:
-                    if edge.relation_id in dropped:
-                        continue
-                    edge = TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
-                    character = representative
-                    transferred += 1
-                edges.append(edge)
-                path = rebuilt.get(character)
-                if path is not None:
-                    path.append(edge)
-            by_character.update((character, path) for character, path in rebuilt.items() if path)
+                representative = absorbed[character]
+                gained.setdefault(representative, []).extend(
+                    TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
+                    for edge in by_character.pop(character)
+                    if edge.relation_id not in dropped
+                )
+            for representative, kept in gained.items():
+                if kept:
+                    by_character[representative] = [*paths.get(representative, ()), *kept]
+                    transferred += len(kept)
             network = derived._subnetworks[relation_type] = TemporalActivityNetwork(relation_type)
-            network._edges, network._by_character = edges, by_character
+            network._by_character = by_character
         return derived.seal(), transferred
 
     def changed_paths(self, other: "NetworkBundle") -> set[str]:
@@ -368,8 +360,7 @@ class NetworkBundle:
         return list(self._subnetworks.values())
 
     def edges(self) -> Iterator[TemporalEdge]:
-        for tan in self._subnetworks.values():
-            yield from tan.edges()
+        return chain.from_iterable(tan.edges() for tan in self._subnetworks.values())
 
     @property
     def edge_count(self) -> int:

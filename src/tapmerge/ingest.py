@@ -23,7 +23,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import NetworkBundle, TemporalActivityNetwork, TemporalEdge, TimeInterval, VertexKind
+from .graph import NetworkBundle, TemporalActivityNetwork, TemporalEdge, TimeInterval, Vertex, VertexKind
 from .screening import Memo, csv_fields, csv_text
 
 RECORDS_HEADER = ["character_id", "character_name", "entity_name", "entity_type", "relation_type", "start", "end"]
@@ -109,19 +109,23 @@ class _Keys:
     The one place `load` and `load_records` key a record's parts. A
     character is keyed by its explicit id, or by its name when the id is
     blank: an id and a name are separate kinds of key, even when their
-    strings are equal. An entity is keyed by its (name, type), an
-    interval by its bounds, with one object per bounds, and a subnetwork
-    by its relation type, declared on first use. `entities`, `intervals`
-    and `networks` make a missing entry on lookup, and their `get` only
-    finds one; new vertices keep `add_vertex`'s checks.
+    strings are equal, and `by_id` and `by_name` map them to the vertex.
+    An explicit id keeps the name it was first given. An entity is keyed
+    by its (name, type), an interval by its bounds, with one object per
+    bounds, and a subnetwork by its relation type, declared on first
+    use. `entities`, `intervals` and `networks` make a missing entry on
+    lookup, and their `get` only finds one; new vertices keep
+    `add_vertex`'s checks.
     """
 
-    def __init__(self, manifest: DatasetManifest):
+    def __init__(self, manifest: DatasetManifest, place: str):
         bundle = self.bundle = NetworkBundle()
         for beta in manifest.relation_types:
             bundle.declare_relation_type(beta)
-        self.by_id: dict[str, str] = {}
-        self.by_name: dict[str, str] = {}
+        self.place = place
+        self.by_id: dict[str, Vertex] = {}
+        self.by_name: dict[str, Vertex] = {}
+        self.renamed: set[str] = set()
         self.entities = Memo(lambda key: bundle.add_vertex(VertexKind.ENTITY, key[1], key[0]))
         self.intervals = Memo(lambda bounds: TimeInterval(*bounds))
 
@@ -132,14 +136,22 @@ class _Keys:
         # a closure over the bundle, not a bound method, so no cycle holds the keys
         self.networks = Memo(network)
 
-    def character(self, character_id: str | None, name: str) -> str:
+    def character(self, character_id: str | None, name: str, number: int) -> str:
+        """The character of the `place` numbered `number`; one WARNING per id names a second name and its first."""
         characters, key = (self.by_id, character_id) if character_id else (self.by_name, name)
-        character = characters.get(key)
-        if character is None:
-            character = characters[key] = self.bundle.add_vertex(
-                VertexKind.CHARACTER, CHARACTER_TYPE_LABEL, name, vertex_id=character_id
-            )
-        return character
+        vertex = characters.get(key)
+        if vertex is None:
+            character = self.bundle.add_vertex(VertexKind.CHARACTER, CHARACTER_TYPE_LABEL, name, vertex_id=character_id)
+            vertex = characters[key] = self.bundle.vertex(character)
+        # a name keys a vertex of that name, so only an explicit id can differ
+        elif vertex.display_name != name and character_id not in self.renamed:
+            self.renamed.add(character_id)
+            # imported here, so that `import tapmerge` does not load `logging`
+            import logging
+
+            message = "%s %d: character id %r is named %r here but keeps its first name %r"
+            logging.getLogger("tapmerge").warning(message, self.place, number, character_id, name, vertex.display_name)
+        return vertex.id
 
 
 # builds a named tuple in C, without its Python `__new__`; one global lookup per call
@@ -147,14 +159,13 @@ _tuple_new = tuple.__new__
 
 
 def _file(network: TemporalActivityNetwork, number: int, character: str, entity: str, interval: TimeInterval) -> None:
-    """File record `number`'s edge under its subnetwork, bypassing `add_edge`, whose checks cannot fail here.
+    """File record `number`'s edge in its character's path, bypassing `add_edge`, whose checks cannot fail here.
 
     The bundle is new and no record carries a relation id, so the record
     numbers r000001, r000002, ... never meet a taken id. The edge holds
     the subnetwork's own label, so every edge shares one string object.
     """
     edge = _tuple_new(TemporalEdge, ("r%06d" % number, character, entity, network.relation_type, interval))
-    network._edges.append(edge)
     network._by_character.setdefault(character, []).append(edge)
 
 
@@ -167,11 +178,11 @@ def load_records(
     Each record's parts are keyed as `load` keys a row's: new vertices
     keep `add_vertex`'s checks, while edges are filed directly.
     """
-    keys = _Keys(manifest or DatasetManifest())
+    keys = _Keys(manifest or DatasetManifest(), "record")
     entities, intervals, networks = keys.entities, keys.intervals, keys.networks
     for number, record in enumerate(records, 1):
         character_name, entity_name, entity_type, relation_type, start, end, character_id = record
-        character = keys.character(character_id, character_name)
+        character = keys.character(character_id, character_name, number)
         entity = entities[entity_name, entity_type]
         interval = intervals[start, end]
         _file(networks[relation_type], number, character, entity, interval)
@@ -206,18 +217,18 @@ def load(
     in the dicts that key characters, entities and subnetworks and in
     one of each valid (start, end) text seen. Their keys are stripped
     and non-empty, or valid spans, so a row whose parts are all found
-    is valid, and its edge is filed at once; an explicit-id row still
-    has its name checked. Any other row is stripped and checked: its
-    first failed check names it, in the order field count, empty name,
-    bounds, undeclared relation type. Malformed rows are skipped and
-    reported, or fatal under `strict`. Under `strict` a relation type
-    absent from the manifest is also fatal.
+    is valid, and its edge is filed at once; an explicit id is found
+    only with the name it was first given. Any other row is stripped
+    and checked: its first failed check names it, in the order field
+    count, empty name, bounds, undeclared relation type. Malformed rows
+    are skipped and reported, or fatal under `strict`. Under `strict` a
+    relation type absent from the manifest is also fatal.
     """
     manifest = DatasetManifest.from_json(manifest_path) if manifest_path else DatasetManifest()
     report = LoadReport()
     width = len(RECORDS_HEADER)
     declared_relations = set(manifest.relation_types) if strict else set()
-    keys = _Keys(manifest)
+    keys = _Keys(manifest, "line")
     by_id, by_name, entities, networks = keys.by_id, keys.by_name, keys.entities, keys.networks
     # the raw (start, end) text of each valid span seen -> its interval
     spans: dict[tuple[str, str], TimeInterval] = {}
@@ -232,15 +243,16 @@ def load(
         for row in reader:
             if len(row) == width:
                 character_id, name, entity_name, entity_type, relation_type, start, end = row
-                character = by_id.get(character_id) if character_id else by_name.get(name)
+                vertex = by_id.get(character_id) if character_id else by_name.get(name)
                 entity = entities.get((entity_name, entity_type))
                 interval = spans.get((start, end))
                 network = networks.get(relation_type)
-                found = character is not None and entity is not None and interval is not None and network is not None
-                # an explicit id is found without its name, which must still be non-empty
-                if found and (not character_id or name and not name.isspace()):
+                found = vertex is not None and entity is not None and interval is not None and network is not None
+                # an explicit id is found only together with its first name; the
+                # vertex's id, not the row's copy of it, goes into the edge
+                if found and vertex.display_name == name:
                     loaded += 1
-                    _file(network, loaded, character, entity, interval)
+                    _file(network, loaded, vertex.id, entity, interval)
                     continue
             elif not row:
                 continue  # a blank line is no row
@@ -258,7 +270,7 @@ def load(
                 elif declared_relations and names[3] not in declared_relations:
                     reason = f"undeclared relation type {names[3]!r}"
                 else:
-                    character = keys.character(row[0].strip() or None, names[0])
+                    character = keys.character(row[0].strip() or None, names[0], reader.line_num)
                     entity = entities[names[1], names[2]]
                     interval = spans[span] = keys.intervals[bounds]
                     loaded += 1

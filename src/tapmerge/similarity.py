@@ -91,26 +91,17 @@ class Block:
     per local class up to the last that heads a run: entry d of row a is
     local class a against local class a + d.
     `texts[a][d]` is the entry's score columns in `similarity.csv`, with
-    the line end, `aggregates[a][d]` its mean over all subnetworks, and
-    `columns[a][j][d]` its score in subnetwork j, where `columns[a][j]`
-    is None if class a is absent from j and every score there is +0.0.
+    the line end, and `aggregates[a][d]` its mean over all subnetworks.
     `_mirror` gives a full row. It is a plain slotted class because
     creating a `NamedTuple` class adds about 0.1 ms to every start-up
     (Python 3.11).
     """
 
-    __slots__ = ("classes", "local", "texts", "aggregates", "columns")
+    __slots__ = ("classes", "local", "texts", "aggregates")
 
-    def __init__(
-        self,
-        classes: list[int],
-        local: list[int],
-        texts: Sequence[list[str]],
-        aggregates: Sequence[list[float]],
-        columns: Sequence[tuple[list[float] | None, ...]],
-    ):
+    def __init__(self, classes: list[int], local: list[int], texts: Sequence[list[str]], aggregates: Sequence[list[float]]):
         self.classes, self.local = classes, local
-        self.texts, self.aggregates, self.columns = texts, aggregates, columns
+        self.texts, self.aggregates = texts, aggregates
 
 
 def _mirror(upper: Sequence[Sequence], a: int) -> list:
@@ -124,8 +115,8 @@ class PairScores:
     Characters whose weight vectors are equal in every subnetwork share
     a class, and `profiles[c]` holds class c's weight vector and
     self-weight per subnetwork. `blocks[b]` scores `pairs.buckets[b]`.
-    Iterating builds each pair's `SimilarityResult`, in the order of
-    `pairs`; `scored` counts the class pairs scored, per block.
+    Iterating scores each pair from its classes' profiles, in the order
+    of `pairs`; `scored` counts the class pairs scored, per block.
     """
 
     def __init__(
@@ -146,14 +137,20 @@ class PairScores:
         return len(self.pairs)
 
     def __iter__(self) -> Iterator[SimilarityResult]:
-        pairs = self.pairs
+        pairs, profiles = self.pairs, self.profiles
         for b, i in pairs.runs:
             members, block = pairs.buckets[b], self.blocks[b]
-            local, aggregates, columns = block.local, block.aggregates, block.columns
+            local, classes, aggregates = block.local, block.classes, block.aggregates
             a = local[i]
+            vectors, weights = profiles[classes[a]]
+            # the run's scores against each partner class met
+            scored: dict[int, tuple[float, ...]] = {}
             for y, c in zip(*pairs.later(b, i, members, local)):
                 low, d = (a, c - a) if a <= c else (c, a - c)
-                scores = tuple([0.0 if column is None else column[d] for column in columns[low]])
+                scores = scored.get(c)
+                if scores is None:
+                    partner_vectors, partner_weights = profiles[classes[c]]
+                    scores = scored[c] = tuple(map(_score, vectors, partner_vectors, weights, partner_weights))
                 yield SimilarityResult(members[i], y, scores, aggregates[low][d])
 
 
@@ -220,20 +217,21 @@ def _self_weight(vec: dict[str, int]) -> int:
     return sum(weight * weight for weight in vec.values())
 
 
-def _cross_weight(vec_x: dict[str, int], vec_y: dict[str, int]) -> int:
-    """W(paths x..y): the dot product of two aggregated weight vectors."""
-    # exact integer sums, so iteration order cannot change the result
-    w_xy = 0
-    for entity, weight in vec_x.items():
-        w_xy += weight * vec_y.get(entity, 0)
-    return w_xy
+def _ratio(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: int) -> tuple[int, int]:
+    """One subnetwork's score as exact integers: 2 * W(paths x..y), a dot product, and W(paths x..x) + W(paths y..y)."""
+    return 2 * sum(weight * vec_y.get(entity, 0) for entity, weight in vec_x.items()), w_xx + w_yy
+
+
+def _score(vec_x: dict[str, int], vec_y: dict[str, int], w_xx: int, w_yy: int) -> float:
+    """One subnetwork's score, the one correctly rounded division of its `_ratio`, and 0 without paths."""
+    numerator, denominator = _ratio(vec_x, vec_y, w_xx, w_yy)
+    return numerator / denominator if denominator else 0.0
 
 
 def simtap_beta(tan: TemporalActivityNetwork, x: str, y: str, now: int) -> float:
     """Path similarity of x and y within one subnetwork, in [0, 1]."""
     vec_x, vec_y = subnetwork_weights(tan, x, now), subnetwork_weights(tan, y, now)
-    denominator = _self_weight(vec_x) + _self_weight(vec_y)
-    return 0.0 if denominator == 0 else 2 * _cross_weight(vec_x, vec_y) / denominator
+    return _score(vec_x, vec_y, _self_weight(vec_x), _self_weight(vec_y))
 
 
 def combine_subnetwork_scores(scores: Sequence[float]) -> float:
@@ -327,8 +325,8 @@ def _row(
     self_weights: list[tuple[int, ...]],
     start: int,
     size: int,
-) -> tuple[list[str], list[float], tuple[list[float] | None, ...]]:
-    """One class's texts, aggregates and columns against a block's local classes from `start` on.
+) -> tuple[list[str], list[float]]:
+    """One class's texts and aggregates against a block's local classes from `start` on.
 
     `vectors[j]` and `self_weights[j]` hold every local class's weight
     vector and self-weight in subnetwork j. Only the class's active
@@ -341,13 +339,13 @@ def _row(
     """
     own_vectors, own_weights = profile
     width = len(own_weights)
-    columns: list[list[float] | None] = [None] * width
+    active: list[list[float]] = []
     formats = ["0.0000"] * width
     for j, own_weight in enumerate(own_weights):
         if not own_weight:
             continue
         # the first partner is the class itself, whose W_xy is its self-weight: it scores exactly 1
-        column = columns[j] = [1.0]
+        column = [1.0]
         own, partners, weights = own_vectors[j], vectors[j][start + 1 :], self_weights[j][start + 1 :]
         # a positive self-weight means at least one entity, so `cross` is a list
         cross = None
@@ -356,8 +354,8 @@ def _row(
             cross = list(terms if cross is None else map(add, cross, terms))
         # 2 * W_xy / (W_xx + W_yy); the class's own self-weight is positive, so no denominator is 0
         column += map(truediv, cross, map(add, weights, repeat(own_weight)))
+        active.append(column)
         formats[j] = "%.4f"
-    active = [column for column in columns if column is not None]
     if active:
         # `sum` of one score is that score
         totals = active[0] if len(active) == 1 else map(sum, zip(*active))
@@ -368,7 +366,7 @@ def _row(
     row_format = ",".join([*formats, "%.4f"]) + "\r\n"
     # "%.4f" renders a float exactly as f"{value:.4f}" does
     texts = list(map(row_format.__mod__, zip(*active, aggregates)))
-    return texts, aggregates, tuple(columns)
+    return texts, aggregates
 
 
 # a float aggregate at most this far from theta is decided in exact arithmetic
@@ -385,14 +383,9 @@ def _reaches_exactly(
     from fractions import Fraction
 
     (vectors_a, weights_a), (vectors_b, weights_b) = profile_a, profile_b
-    total = sum(
-        (
-            Fraction(2 * _cross_weight(vec_a, vec_b), w_aa + w_bb)
-            for vec_a, vec_b, w_aa, w_bb in zip(vectors_a, vectors_b, weights_a, weights_b)
-            if w_aa and w_bb
-        ),
-        Fraction(0),
-    )
+    # a subnetwork neither class is active in has no paths, and scores 0
+    ratios = map(_ratio, vectors_a, vectors_b, weights_a, weights_b)
+    total = sum(Fraction(*ratio) for ratio in ratios if ratio[1])
     # with no subnetwork the mean is 0, below every theta
     return bool(weights_a) and total >= len(weights_a) * Fraction(str(theta))
 

@@ -142,9 +142,6 @@ def plant_duplicates(
     carry their own prefixes so they never collide with existing ids.
     """
     rng = random.Random(seed)
-    edges_by_character: dict[str, list[TemporalEdge]] = {}
-    for edge in bundle.edges():
-        edges_by_character.setdefault(edge.character, []).append(edge)
     eligible = fully_active_characters(bundle)
     if k > len(eligible):
         raise ValueError(
@@ -172,7 +169,9 @@ def plant_duplicates(
         clone_id = f"dup{i + 1:04d}-{source}"
         source_vertex = bundle.vertex(source)
         new_bundle.add_vertex(VertexKind.CHARACTER, source_vertex.type_label, source_vertex.display_name, vertex_id=clone_id)
-        source_edges = sorted(edges_by_character[source], key=lambda e: e.relation_id)
+        source_edges = sorted(
+            (edge for tan in bundle.subnetworks() for edge in tan.edges_of_character(source)), key=lambda e: e.relation_id
+        )
 
         def plant_edge(entity: str, relation_type: str, interval: TimeInterval) -> None:
             nonlocal planted_edges

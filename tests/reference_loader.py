@@ -66,7 +66,6 @@ def load_records(
             network = subnetworks[relation_type]
         # the subnetwork's own label, so every edge shares one string object
         edge = TemporalEdge(f"r{number:06d}", character, entity, network.relation_type, interval)
-        network._edges.append(edge)
         network._by_character.setdefault(character, []).append(edge)
     return bundle.seal()
 

@@ -200,6 +200,31 @@ def test_ingest_command_reports_a_short_row(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == ["line 2: expected 7 fields, got 6"]
 
 
+def test_an_explicit_id_given_a_second_name_keeps_its_first_and_warns_once(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="tapmerge")
+    rows = [
+        "p1,Ann,Uni,institution,study,2001,2003",
+        "p1,Bo,Lab,institution,study,2001,2003",
+        "p1, Ann ,Lab,institution,work,2004,2005",  # the first name, padded
+        "p1,Cy,Uni,institution,work,2004,2005",  # a third name for an id already warned about
+        "p2,Bo,Uni,institution,study,2001,2003",
+    ]
+    bundle, report = load(write_csv(tmp_path, rows))
+    assert (report.loaded_rows, report.rejected) == (5, [])
+    assert [(v.id, v.display_name) for v in bundle.vertices(VertexKind.CHARACTER)] == [("p1", "Ann"), ("p2", "Bo")]
+    assert sorted(e.character for e in bundle.edges()) == ["p1", "p1", "p1", "p1", "p2"]
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "line 3: character id 'p1' is named 'Bo' here but keeps its first name 'Ann'"),
+    ]
+
+    caplog.clear()
+    records = [TransactionRecord(name, "Uni", "institution", "study", 2001, 2003, "p1") for name in ("Ann", "Bo")]
+    assert [v.display_name for v in load_records(records).vertices(VertexKind.CHARACTER)] == ["Ann"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "record 2: character id 'p1' is named 'Bo' here but keeps its first name 'Ann'"
+    ]
+
+
 def test_loaded_edges_share_one_interval_per_span(tmp_path):
     rows = [
         ",A,Uni,institution,study,2001,2002",

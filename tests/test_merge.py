@@ -195,21 +195,25 @@ def test_verification_reports_every_kind_of_corruption(scholars_bundle, scholar_
 
 def test_verification_reports_each_dangling_edge_in_edge_order(scholars_bundle, scholar_ids):
     # no public path builds an edge whose endpoint is missing, so the edges
-    # go straight into the lists of a rebuilt copy of the merged bundle
+    # go straight into the paths of a rebuilt copy of the merged bundle
     faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
     plan = plan_merge(scholars_bundle, [[faye, fei]])
     merged = apply_merge(scholars_bundle, plan).bundle
     corrupted = rebuild(merged.vertices(), merged.edges(), merged.relation_types())
     study, work = corrupted.subnetwork("study"), corrupted.subnetwork("work")
-    entity, span = study._edges[0].entity, study._edges[0].interval
-    work._edges.insert(0, TemporalEdge("lost-character", "ghost", entity, "work", span))
-    study._edges.insert(1, TemporalEdge("lost-entity", plan.groups[0].representative, "nowhere", "study", span))
-    study._edges.append(TemporalEdge("lost-both", "ghost", "nowhere", "study", span))
+    representative = plan.groups[0].representative
+    entity, span = next(study.edges()).entity, next(study.edges()).interval
+    # a ghost's path first in `work`, an edge inside the representative's path and a ghost's path last in `study`
+    work._by_character = {"ghost": [TemporalEdge("lost-character", "ghost", entity, "work", span)], **work._by_character}
+    study._by_character[representative].insert(1, TemporalEdge("lost-entity", representative, "nowhere", "study", span))
+    study._by_character["ghost"] = [TemporalEdge("lost-both", "ghost", "nowhere", "study", span)]
     report = verify_merge(scholars_bundle, corrupted, plan)
     assert [(v.kind, v.detail) for v in report.violations] == [
         ("dangling endpoint", "edge lost-entity references a missing vertex"),
         ("dangling endpoint", "edge lost-both references a missing vertex"),
         ("dangling endpoint", "edge lost-character references a missing vertex"),
+        # the representative's path now holds one more edge than the plan gives it
+        ("neighbor degree mismatch", f"edge multiset of character {representative} changed"),
     ]
 
 
@@ -443,23 +447,35 @@ def test_an_absorbed_edge_the_plan_does_not_drop_transfers():
     assert verify_merge(bundle, merged.bundle, keep_all).ok
 
 
-def rebuild_reference(bundle: NetworkBundle, plan) -> NetworkBundle:
-    """The merged bundle as `rebuild` assembles it from the plan.
+def merged_edges(bundle: NetworkBundle, mapping: dict[str, str], dropped: set[str]) -> list[TemporalEdge]:
+    """The edges a merge keeps, in the order of the merged bundle's `edges()`.
 
-    An absorbed member's edge is left out when the plan lists it as
-    dropped, and otherwise kept in place under the representative.
+    `mapping` takes each absorbed member to its representative, in plan
+    order. In each subnetwork an absorbed member's edge is left out when
+    its relation id is dropped, and otherwise moved to the end of its
+    representative's path, which keeps the representative's place or,
+    when the representative had no edge there, comes after every other
+    character's path.
     """
+    edges = []
+    for tan in bundle.subnetworks():
+        paths: dict[str, list[TemporalEdge]] = {}
+        for edge in tan.edges():
+            paths.setdefault(edge.character, []).append(edge)
+        for member, representative in mapping.items():
+            kept = [e._replace(character=representative) for e in paths.pop(member, ()) if e.relation_id not in dropped]
+            if kept:
+                paths[representative] = paths.get(representative, []) + kept
+        edges += [edge for path in paths.values() for edge in path]
+    return edges
+
+
+def rebuild_reference(bundle: NetworkBundle, plan) -> NetworkBundle:
+    """The merged bundle as `rebuild` assembles it from the plan's `merged_edges`."""
     mapping = {duplicate: group.representative for group in plan.groups for duplicate in group.absorbed}
     dropped = {relation_id for group in plan.groups for relation_id in group.dropped}
-    edges = []
-    for edge in bundle.edges():
-        representative = mapping.get(edge.character)
-        if representative is None:
-            edges.append(edge)
-        elif edge.relation_id not in dropped:
-            edges.append(edge._replace(character=representative))
     vertices = [v for v in bundle.vertices() if v.id not in mapping]
-    return rebuild(vertices, edges, bundle.relation_types())
+    return rebuild(vertices, merged_edges(bundle, mapping, dropped), bundle.relation_types())
 
 
 def paths_of(bundle: NetworkBundle, characters) -> dict[tuple[str, str], list]:
@@ -517,6 +533,48 @@ def test_apply_merge_equals_the_rebuild_reference_and_leaves_its_input_alone(sch
     assert transferred_from_three_member_groups > 0
 
 
+def test_a_subnetwork_is_its_paths_and_a_merge_rebuilds_only_its_members_paths():
+    # two people's edges filed alternately come out one path at a time
+    bundle = NetworkBundle()
+    ann, bea = (bundle.add_vertex(VertexKind.CHARACTER, "person", name) for name in ("Ann", "Bea"))
+    chess = bundle.add_vertex(VertexKind.ENTITY, "club", "Chess")
+    filed = [bundle.add_edge(person, chess, "member", (2000 + i, 2001 + i)) for i, person in enumerate([ann, bea] * 2)]
+    tan = bundle.seal().subnetwork("member")
+    assert [e.relation_id for e in tan.edges()] == [filed[0], filed[2], filed[1], filed[3]]
+    assert len(tan) == 4
+
+    base = generate(RandomBundleSpec(characters=12, entities_per_type=4, relation_types=3, seed=0))
+    planted, (pair,) = plant_duplicates(base, k=1, mode=PlantMode.PARTIAL_CLONE, seed=0)
+    # a person whose id sorts before the pair's, with no edge in a subnetwork where the pair has some
+    representative, beta = next(
+        (c, tan.relation_type)
+        for c in planted.character_ids()
+        if c < pair.original
+        for tan in planted.subnetworks()
+        if not tan.edges_of_character(c)
+    )
+    plan = plan_merge(planted, [[representative, pair.original, pair.clone]])
+    merged = apply_merge(planted, plan).bundle
+    members = {representative, pair.original, pair.clone}
+    for before, after in zip(planted.subnetworks(), merged.subnetworks()):
+        paths = after._by_character
+        assert list(after.edges()) == [edge for path in paths.values() for edge in path]
+        assert len(after) == sum(map(len, paths.values()))
+        assert all(paths[c] is path for c, path in before._by_character.items() if c not in members)
+
+    # the representative's new path comes after every other one: its members' kept edges, in id order
+    dropped = set(plan.groups[0].dropped)
+    gained = merged.subnetwork(beta)._by_character
+    assert list(gained)[-1] == representative
+    assert gained[representative] == [
+        edge._replace(character=representative)
+        for member in (pair.original, pair.clone)
+        for edge in planted.subnetwork(beta).edges_of_character(member)
+        if edge.relation_id not in dropped
+    ]
+    assert verify_merge(planted, merged, plan).ok
+
+
 def merge_by_rule(bundle: NetworkBundle, groups) -> tuple[NetworkBundle, dict, dict[str, tuple[str, ...]]]:
     """The merged bundle, its audit counts and each representative's sorted dropped ids, from the rule alone.
 
@@ -524,7 +582,9 @@ def merge_by_rule(bundle: NetworkBundle, groups) -> tuple[NetworkBundle, dict, d
     absorbed edges in (member id, relation id) order, an edge is dropped
     exactly when its (entity, relation type, interval) fact is held by
     the representative or by an earlier absorbed edge, and otherwise
-    kept in place under the representative.
+    kept under the representative as `merged_edges` orders it, with the
+    groups in order of their representatives and each group's members
+    in id order.
     """
     def fact(edge):
         return edge.entity, edge.relation_type, edge.interval
@@ -544,11 +604,7 @@ def merge_by_rule(bundle: NetworkBundle, groups) -> tuple[NetworkBundle, dict, d
         dropped.update(dropped_here)
         if absorbed:
             dropped_by_group[representative] = tuple(sorted(dropped_here))
-    edges = [
-        edge if edge.character not in mapping else edge._replace(character=mapping[edge.character])
-        for edge in bundle.edges()
-        if edge.relation_id not in dropped
-    ]
+    edges = merged_edges(bundle, dict(sorted(mapping.items(), key=lambda item: (item[1], item[0]))), dropped)
     vertices = [v for v in bundle.vertices() if v.id not in mapping]
     counts = {
         "removed_vertices": len(mapping),

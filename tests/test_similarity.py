@@ -619,6 +619,7 @@ def test_class_scoring_equals_per_pair_scoring(bundle):
         expected = [oracle_simtap_beta(bundle.subnetwork(b), x, y, now) for b in bundle.relation_types()]
         assert (result.x, result.y) == (x, y)
         assert list(result.scores) == expected
+        assert list(result.scores) == [simtap_beta(bundle.subnetwork(b), x, y, now) for b in bundle.relation_types()]
         assert result.aggregate == combine_subnetwork_scores(expected)
         assert (back.x, back.y, back.scores, back.aggregate) == (y, x, result.scores, result.aggregate)
 
