@@ -245,23 +245,26 @@ class NetworkBundle:
         self._intervals.clear()
         return self
 
-    def _derive(self, absorbed: dict[str, str], dropped: set[str]) -> tuple["NetworkBundle", int]:
-        """A sealed bundle without the `absorbed` characters, and the number of edges it re-filed.
+    def _derive(self, absorbed: dict[str, str]) -> tuple["NetworkBundle", int, int]:
+        """A sealed bundle without the `absorbed` characters, and the numbers of edges it dropped and re-filed.
 
         `absorbed` maps each removed character to its representative, a
         character not itself absorbed, as :func:`apply_merge` checks, in
-        plan order. Only their paths are walked. A representative's path
-        becomes its own edges, then its absorbed members' edges whose
-        relation ids are not `dropped`, in plan order; it keeps its place,
-        or follows every other path where it had none. The result equals
-        :func:`rebuild` of its own :meth:`edges` in every order it exposes,
-        but shares every other subnetwork, path and edge with this bundle,
-        which must therefore be sealed.
+        plan order. Only their paths are walked. An absorbed edge is
+        dropped when its group already holds its (entity, interval) fact
+        in that subnetwork, on the representative or on an edge kept
+        earlier; of one member's edges of a new fact, the one of smallest
+        relation id is kept. A representative's path becomes its own
+        edges, then its members' kept edges in plan and path order; it
+        keeps its place, or follows every other path where it had none.
+        The result equals :func:`rebuild` of its own :meth:`edges` in every
+        order it exposes, but shares every other subnetwork, path and edge
+        with this bundle, which must therefore be sealed.
         """
         if not self._sealed:
             raise GraphError("derive from an unsealed bundle; seal it first")
         derived = NetworkBundle()
-        transferred = 0
+        walked = transferred = 0
         derived._vertices = self._vertices.copy()
         for character in absorbed:
             del derived._vertices[character]
@@ -272,22 +275,33 @@ class NetworkBundle:
                 derived._subnetworks[relation_type] = tan
                 continue
             by_character = paths.copy()
+            # the (representative, entity, interval) facts each group holds so far
+            held = {(r, e.entity, e.interval) for r in {absorbed[c] for c in present} for e in paths.get(r, ())}
             # each representative's kept edges, so its path is built once
             gained: dict[str, list[TemporalEdge]] = {}
             for character in present:
                 representative = absorbed[character]
+                path = by_character.pop(character)
+                walked += len(path)
+                kept = set()
+                # relation ids are unique and an edge's first field, so this is relation id order
+                for edge in sorted(path):
+                    fact = representative, edge.entity, edge.interval
+                    if fact not in held:
+                        held.add(fact)
+                        kept.add(edge.relation_id)
                 gained.setdefault(representative, []).extend(
                     TemporalEdge(edge.relation_id, representative, edge.entity, edge.relation_type, edge.interval)
-                    for edge in by_character.pop(character)
-                    if edge.relation_id not in dropped
+                    for edge in path
+                    if edge.relation_id in kept
                 )
-            for representative, kept in gained.items():
-                if kept:
-                    by_character[representative] = [*paths.get(representative, ()), *kept]
-                    transferred += len(kept)
+            for representative, kept_edges in gained.items():
+                if kept_edges:
+                    by_character[representative] = [*paths.get(representative, ()), *kept_edges]
+                    transferred += len(kept_edges)
             network = derived._subnetworks[relation_type] = TemporalActivityNetwork(relation_type)
             network._by_character = by_character
-        return derived.seal(), transferred
+        return derived.seal(), walked - transferred, transferred
 
     def changed_paths(self, other: "NetworkBundle") -> set[str]:
         """Characters whose edge list in some subnetwork differs from their list in `other`.

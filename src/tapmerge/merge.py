@@ -1,12 +1,12 @@
 """Collapse confirmed duplicate groups into a corrected bundle.
 
 Each group keeps one representative (the smallest id, for determinism;
-provenance keeps every absorbed name reachable). An absorbed vertex's
-edge is dropped when the representative already carries the identical
-(entity, relation type, interval) fact, and transferred otherwise, so
-near-duplicates that disagree on a date lose nothing. Merging operates
-on the 2-mode bundle; the 1-mode projection is recomputed afterwards by
-callers that need it.
+provenance keeps every absorbed name reachable). A plan names only who
+merges. Applying it drops an absorbed edge when the group already holds
+the identical (entity, relation type, interval) fact, and transfers it
+otherwise, so near-duplicates that disagree on a date lose nothing and
+no plan can lose a fact. Merging operates on the 2-mode bundle; the
+1-mode projection is recomputed afterwards by callers that need it.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ class StalePlanError(MergeError):
 
 
 class GroupPlan(NamedTuple):
+    """One group: the character that survives and the characters it absorbs, in merge order."""
+
     representative: str
     absorbed: tuple[str, ...]
-    # sorted relation ids of the absorbed edges whose fact the group already
-    # holds; every other edge of an absorbed member transfers
-    dropped: tuple[str, ...]
 
 
 class MergePlan(NamedTuple):
@@ -100,12 +99,12 @@ def _character_facts(bundle: NetworkBundle, character: str) -> list[tuple[_Fact,
 
 
 def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergePlan:
-    """Decide, per group, who survives and which absorbed edges are dropped.
+    """Name, per group of two or more, who survives and who is absorbed.
 
-    Absorbed vertices are processed in id order; a transferred fact
-    counts as already present for the next duplicate of it, so the
-    representative ends up with each distinct fact exactly once on top
-    of its own edges.
+    The smallest id survives and absorbs the others in id order, and the
+    groups follow their representatives' order. Every member must be a
+    character of `bundle` in no other group. No edge is read:
+    :func:`apply_merge` decides which absorbed edges are dropped.
     """
     if not bundle.sealed:
         raise GraphError("merge plan of an unsealed bundle; seal it first")
@@ -120,16 +119,7 @@ def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergeP
             seen.add(member)
             if bundle.vertex(member).kind is not VertexKind.CHARACTER:
                 raise MergeError(f"cannot merge non-character vertex {member!r}")
-        representative, absorbed = group[0], tuple(group[1:])
-        known_facts = {fact for fact, _ in _character_facts(bundle, representative)}
-        dropped = []
-        for duplicate in absorbed:
-            for fact, relation_id in _character_facts(bundle, duplicate):
-                if fact in known_facts:
-                    dropped.append(relation_id)
-                else:
-                    known_facts.add(fact)
-        plans.append(GroupPlan(representative, absorbed, tuple(sorted(dropped))))
+        plans.append(GroupPlan(group[0], tuple(group[1:])))
     return MergePlan(groups=plans, source=bundle)
 
 
@@ -145,18 +135,19 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     """Produce the corrected bundle with every absorbed vertex removed.
 
     Every group member must be a character of `bundle` that belongs to
-    no other group, and every dropped relation id an edge of an absorbed
-    member. Only the group members' edges are visited: the result shares
-    every subnetwork, edge list and edge that no absorbed vertex touches
-    with `bundle`. The content digests are compared, and so computed,
-    only when `bundle` is not the bundle the plan was built on.
+    no other group. The representative keeps its own edges and gains
+    each fact of its absorbed members that it lacked, once, as
+    :meth:`NetworkBundle._derive` decides. Only the group members' edges
+    are visited: the result shares every subnetwork, edge list and edge
+    that no absorbed vertex touches with `bundle`. The content digests
+    are compared, and so computed, only when `bundle` is not the bundle
+    the plan was built on.
     """
     if bundle is not plan.source and bundle.content_digest() != plan.source.content_digest():
         raise StalePlanError("plan was computed against a different bundle")
 
     mapping: dict[str, str] = {}
     representatives: set[str] = set()
-    dropped: set[str] = set()
     for group in plan.groups:
         _require_character(bundle, group.representative, "representative")
         if group.representative in representatives:
@@ -167,19 +158,14 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
             if duplicate in mapping:
                 raise MergeError(f"vertex {duplicate!r} appears in more than one group")
             mapping[duplicate] = group.representative
-        dropped.update(group.dropped)
     for group in plan.groups:
         if group.representative in mapping:
             raise StalePlanError(f"representative {group.representative!r} is absorbed by another group")
 
-    merged, transferred = bundle._derive(mapping, dropped)
-    # relation ids are unique, so each dropped id that is an absorbed edge removes one edge
-    unknown = len(dropped) - (bundle.edge_count - merged.edge_count)
-    if unknown:
-        raise StalePlanError(f"{unknown} of the plan's {len(dropped)} dropped relation ids are no absorbed edge")
+    merged, dropped, transferred = bundle._derive(mapping)
     audit = MergeAudit(
         removed_vertices=len(mapping),
-        dropped_edges=len(dropped),
+        dropped_edges=dropped,
         transferred_edges=transferred,
         mapping=mapping,
     )
@@ -191,7 +177,7 @@ def _joined_groups(plan: MergePlan, report: VerificationReport) -> list[GroupPla
 
     The shared members are named in one `overlapping groups` violation.
     A joined group is led by the representative of its first group in
-    the plan, absorbs every other member and drops every listed edge.
+    the plan and absorbs every other member.
     """
     first: dict[str, int] = {}
     components = UnionFind()
@@ -212,8 +198,7 @@ def _joined_groups(plan: MergePlan, report: VerificationReport) -> list[GroupPla
     for groups in joined.values():
         representative = groups[0].representative
         members = {member for group in groups for member in (group.representative, *group.absorbed)}
-        dropped = {relation_id for group in groups for relation_id in group.dropped}
-        out.append(GroupPlan(representative, tuple(sorted(members - {representative})), tuple(sorted(dropped))))
+        out.append(GroupPlan(representative, tuple(sorted(members - {representative}))))
     return out
 
 
@@ -223,8 +208,10 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
     A character outside every group passes the edge multiset check at
     once when each of its edge lists equals its list in `before`. Each
     group is then checked on its own, so only one group's facts are held
-    at a time. Groups that share a member, which :func:`apply_merge`
-    refuses, are reported and checked as one group.
+    at a time: its representative must hold its own facts plus each
+    fact of its absorbed members that it lacked, once, as worked out
+    from `before` alone. Groups that share a member, which
+    :func:`apply_merge` refuses, are reported and checked as one group.
     """
     report = VerificationReport()
     groups = _joined_groups(plan, report)
@@ -263,21 +250,16 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
         representative = group.representative
         own, post = _character_facts(before, representative), _character_facts(after, representative)
         absorbed_facts = [entry for duplicate in group.absorbed for entry in _character_facts(before, duplicate)]
-        dropped = set(group.dropped)
-        for relation_id in sorted(dropped.difference(relation_id for _, relation_id in absorbed_facts)):
-            report.add(
-                "neighbor degree mismatch",
-                f"plan drops {relation_id}, which is not an edge of an absorbed vertex of {representative}",
-            )
         is_character = [
             bundle.has_vertex(representative) and bundle.vertex(representative).kind is VertexKind.CHARACTER
             for bundle in (before, after)
         ]
-        # the representative gains exactly the facts the plan does not drop; one that is
-        # no surviving character of `before` has no expected facts, and the kind check reports it
+        # the representative gains each absorbed fact it lacked, once; one that is no
+        # surviving character of `before` has no expected facts, and the kind check reports it
         if is_character[0] and representative not in absorbed:
-            expected = [fact for fact, _ in own] + [fact for fact, rid in absorbed_facts if rid not in dropped]
-            if sorted(expected) != [fact for fact, _ in post]:
+            own_facts = [fact for fact, _ in own]
+            gained = {fact for fact, _ in absorbed_facts}.difference(own_facts)
+            if sorted([*own_facts, *gained]) != [fact for fact, _ in post]:
                 report.add("neighbor degree mismatch", f"edge multiset of character {representative} changed")
 
         # the representative carries the group's distinct facts, nothing lost

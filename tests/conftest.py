@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tapmerge import NetworkBundle, VertexKind, load
 
@@ -14,6 +15,10 @@ SCHOLARS_CSV = DATA_DIR / "scholars.csv"
 SCHOLARS_MANIFEST = DATA_DIR / "scholars_manifest.json"
 
 SCHOLAR_NOW = 2014  # latest end time in the dataset
+
+# the merge state machine's examples per run; `--hypothesis-profile=deep` runs ten times as many
+MACHINE_EXAMPLES = 100
+settings.register_profile("deep", max_examples=10 * MACHINE_EXAMPLES)
 
 
 @pytest.fixture(scope="session")

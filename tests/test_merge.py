@@ -15,6 +15,7 @@ from tapmerge.merge import MergeError, StalePlanError
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 from conftest import ClubNet
+from merge_reference import merge_by_rule
 
 
 def clone_trio_bundle() -> NetworkBundle:
@@ -41,11 +42,12 @@ def test_plan_for_the_wu_pair_transfers_only_the_diverging_stint(scholars_bundle
     group = plan.groups[0]
     assert group.representative == min(faye, fei)
     assert group.absorbed == (max(faye, fei),)
-    absorbed_edges = [e for e in scholars_bundle.edges() if e.character == max(faye, fei)]
+    absorbed_ids = {e.relation_id for e in scholars_bundle.edges() if e.character == max(faye, fei)}
+    merged = apply_merge(scholars_bundle, plan)
     # every edge but one repeats a fact of the representative and is dropped
-    assert group.dropped == tuple(sorted(group.dropped))
-    assert set(group.dropped) < {e.relation_id for e in absorbed_edges}
-    (transferred,) = [e for e in absorbed_edges if e.relation_id not in group.dropped]
+    assert (merged.audit.dropped_edges, merged.audit.transferred_edges) == (len(absorbed_ids) - 1, 1)
+    (transferred,) = [e for e in merged.bundle.edges() if e.relation_id in absorbed_ids]
+    assert transferred.character == group.representative
     assert scholars_bundle.vertex(transferred.entity).display_name == "Jinan Univ."
     assert (transferred.interval.start, transferred.interval.end) == (2000, 2000)
 
@@ -54,17 +56,17 @@ def test_exact_clones_drop_every_absorbed_edge():
     bundle = clone_trio_bundle()
     people = bundle.character_ids()
     plan = plan_merge(bundle, [people])
+    merged = apply_merge(bundle, plan)
     absorbed = set(plan.groups[0].absorbed)
-    assert plan.groups[0].dropped == tuple(sorted(e.relation_id for e in bundle.edges() if e.character in absorbed))
+    absorbed_ids = {e.relation_id for e in bundle.edges() if e.character in absorbed}
+    assert merged.audit.dropped_edges == len(absorbed_ids)
+    assert absorbed_ids.isdisjoint(e.relation_id for e in merged.bundle.edges())
 
 
-def test_a_plan_repr_lists_the_dropped_ids_in_order():
+def test_a_plan_repr_names_each_groups_representative_and_absorbed_ids():
     bundle = clone_trio_bundle()
     plan = plan_merge(bundle, [bundle.character_ids()[::-1]])
-    dropped = tuple(f"r{i:06d}" for i in range(4, 10))
-    assert repr(plan) == (
-        f"MergePlan(groups=[GroupPlan(representative='c000001', absorbed=('c000002', 'c000003'), dropped={dropped!r})])"
-    )
+    assert repr(plan) == "MergePlan(groups=[GroupPlan(representative='c000001', absorbed=('c000002', 'c000003'))])"
 
 
 def test_empty_group_set_is_a_no_op(club: ClubNet):
@@ -154,10 +156,10 @@ def test_stale_plan_detected_when_counts_match_but_a_fact_differs():
         bundle.add_edge("c2", "e1", "work", interval, relation_id="r2")
         return bundle.seal()
 
-    # c2's 2000-2005 stint duplicates c1's, so the plan drops it
+    # c2's 2000-2005 stint duplicates c1's, so the merge drops it
     plan = plan_merge(c2_works_at_e1((2000, 2005)), [["c1", "c2"]])
     assert apply_merge(c2_works_at_e1((2000, 2005)), plan).audit.dropped_edges == 1
-    # same vertex and edge counts, but dropping the 2003-2008 stint would lose a fact
+    # same vertex and edge counts, but a fact differs
     with pytest.raises(StalePlanError):
         apply_merge(c2_works_at_e1((2003, 2008)), plan)
 
@@ -218,41 +220,17 @@ def test_verification_reports_each_dangling_edge_in_edge_order(scholars_bundle, 
 
 
 def test_verification_reports_a_drop_of_another_characters_edge(scholars_bundle, scholar_ids):
+    # a plan carries no drops, so the drop is made in the merged bundle itself
     faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
     plan = plan_merge(scholars_bundle, [[faye, fei]])
     merged = apply_merge(scholars_bundle, plan).bundle
-    group = plan.groups[0]
-    foreign = next(e.relation_id for e in scholars_bundle.edges() if e.character not in (faye, fei))
-    wrong = group._replace(dropped=tuple(sorted((*group.dropped, foreign))))
-    report = verify_merge(scholars_bundle, merged, plan._replace(groups=[wrong]))
+    foreign = next(e for e in merged.edges() if e.character not in (faye, fei))
+    kept = [e for e in merged.edges() if e.relation_id != foreign.relation_id]
+    corrupted = rebuild(merged.vertices(), kept, merged.relation_types())
+    report = verify_merge(scholars_bundle, corrupted, plan)
     assert [(v.kind, v.detail) for v in report.violations] == [
-        (
-            "neighbor degree mismatch",
-            f"plan drops {foreign}, which is not an edge of an absorbed vertex of {group.representative}",
-        ),
+        ("neighbor degree mismatch", f"edge multiset of character {foreign.character} changed"),
     ]
-
-
-def test_verification_reports_a_drop_listed_under_the_wrong_group(scholars_bundle, scholar_ids):
-    groups = [
-        [scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]],
-        [scholar_ids["ShaoJia Zhu"], scholar_ids["ShaoNan Zhu"]],
-    ]
-    plan = plan_merge(scholars_bundle, groups)
-    first, second = plan.groups
-    moved = second.dropped[0]
-    swapped = plan._replace(
-        groups=[first._replace(dropped=(*first.dropped, moved)), second._replace(dropped=second.dropped[1:])]
-    )
-    # the union of the dropped ids is unchanged, so the merge is the same
-    merged, reference = apply_merge(scholars_bundle, swapped), apply_merge(scholars_bundle, plan)
-    assert merged.audit == reference.audit
-    assert list(merged.bundle.edges()) == list(reference.bundle.edges())
-    report = verify_merge(scholars_bundle, merged.bundle, swapped)
-    assert (
-        "neighbor degree mismatch",
-        f"plan drops {moved}, which is not an edge of an absorbed vertex of {first.representative}",
-    ) in [(v.kind, v.detail) for v in report.violations]
 
 
 @pytest.mark.parametrize("representative", ["ghost", "entity"])
@@ -355,7 +333,7 @@ def test_verify_merge_names_groups_that_share_a_member():
     plan = plan_merge(bundle, [])._replace(groups=[with_b, with_c])
     with pytest.raises(MergeError, match="more than one group"):
         apply_merge(bundle, plan)
-    merged, _ = bundle._derive({b: a, c: a}, {*with_b.dropped, *with_c.dropped})
+    merged, _, _ = bundle._derive({b: a, c: a})
     # no fact is lost: checked group by group, the two groups report two
     # "neighbor degree mismatch" lines and an "entity fact mismatch"
     report = verify_merge(bundle, merged, plan)
@@ -392,7 +370,7 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
     # an entity fails as it does in plan_merge, before any edge is visited
     with pytest.raises(MergeError) as planned:
         plan_merge(scholars_bundle, [[first.representative, entity]])
-    absorbs_an_entity = edited(first, absorbed=(entity,), dropped=())
+    absorbs_an_entity = edited(first, absorbed=(entity,))
     entity_representative = edited(first, representative=entity)
     for hand_edited in (absorbs_an_entity, entity_representative):
         with pytest.raises(MergeError) as raised:
@@ -419,63 +397,78 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
         apply_merge(scholars_bundle, absorbs_the_other_representative)
 
 
-def test_a_plan_that_drops_an_edge_no_absorbed_vertex_has_fails_in_apply(scholars_bundle, scholar_ids):
-    faye, fei = scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]
-    plan = plan_merge(scholars_bundle, [[faye, fei]])
+def test_a_hand_edited_plan_cannot_drop_a_fact_the_group_lacks():
+    # a plan that named both of c's edges as drops would lose (work, F, 2003-2004)
+    bundle = NetworkBundle()
+    for cid in ("a", "c"):
+        bundle.add_vertex(VertexKind.CHARACTER, "person", "Wu", vertex_id=cid)
+    for eid in ("E", "F"):
+        bundle.add_vertex(VertexKind.ENTITY, "institution", eid, vertex_id=eid)
+    bundle.add_edge("a", "E", "work", (2000, 2001))
+    bundle.add_edge("c", "E", "work", (2000, 2001))
+    bundle.add_edge("c", "F", "work", (2003, 2004))
+    bundle.seal()
+    plan = plan_merge(bundle, [["a", "c"]])
+    merged = apply_merge(bundle, plan)
+    assert [(e.character, e.entity, e.interval) for e in merged.bundle.edges()] == [
+        ("a", "E", (2000, 2001)), ("a", "F", (2003, 2004))
+    ]
+    assert (merged.audit.dropped_edges, merged.audit.transferred_edges) == (1, 1)
+    assert verify_merge(bundle, merged.bundle, plan).ok
+    # a plan names who merges and nothing more, so there are no drops to edit
     (group,) = plan.groups
-    representative_edge = next(e.relation_id for e in scholars_bundle.edges() if e.character == group.representative)
-    outsider_edge = next(e.relation_id for e in scholars_bundle.edges() if e.character not in (faye, fei))
-    for foreign in (representative_edge, outsider_edge, "r999999"):
-        edited = plan._replace(groups=[group._replace(dropped=tuple(sorted((*group.dropped, foreign))))])
-        with pytest.raises(StalePlanError) as raised:
-            apply_merge(scholars_bundle, edited)
-        expected = f"1 of the plan's {len(group.dropped) + 1} dropped relation ids are no absorbed edge"
-        assert str(raised.value) == expected
+    with pytest.raises(ValueError):
+        group._replace(dropped=("r000002", "r000003"))
 
 
 def test_an_absorbed_edge_the_plan_does_not_drop_transfers():
-    bundle = clone_trio_bundle()
-    plan = plan_merge(bundle, [bundle.character_ids()])
+    # the third clone also held (member, club 0, 2005-2006), a fact no other member holds
+    bundle = NetworkBundle()
+    people = [bundle.add_vertex(VertexKind.CHARACTER, "person", f"clone {i}") for i in range(3)]
+    clubs = [bundle.add_vertex(VertexKind.ENTITY, "club", f"club {i}") for i in range(3)]
+    for person in people:
+        for entity in clubs:
+            bundle.add_edge(person, entity, "member", (2001, 2003))
+    bundle.add_edge(people[2], clubs[0], "member", (2005, 2006))
+    bundle.seal()
+    plan = plan_merge(bundle, [people])
     (group,) = plan.groups
-    keep_all = plan._replace(groups=[group._replace(dropped=())])
-    merged = apply_merge(bundle, keep_all)
-    assert merged.audit.dropped_edges == 0
-    assert merged.audit.transferred_edges == 6
-    assert merged.bundle.edge_count == bundle.edge_count == 9
+    merged = apply_merge(bundle, plan)
+    assert merged.audit.dropped_edges == 6
+    assert merged.audit.transferred_edges == 1
+    assert bundle.edge_count == 10
+    assert merged.bundle.edge_count == 4
     assert {e.character for e in merged.bundle.edges()} == {group.representative}
-    # nothing was lost, so the referee accepts the plan as it is written
-    assert verify_merge(bundle, merged.bundle, keep_all).ok
+    assert (clubs[0], (2005, 2006)) in {(e.entity, e.interval) for e in merged.bundle.edges()}
+    # nothing was lost, so the referee accepts the merge
+    assert verify_merge(bundle, merged.bundle, plan).ok
 
 
-def merged_edges(bundle: NetworkBundle, mapping: dict[str, str], dropped: set[str]) -> list[TemporalEdge]:
-    """The edges a merge keeps, in the order of the merged bundle's `edges()`.
-
-    `mapping` takes each absorbed member to its representative, in plan
-    order. In each subnetwork an absorbed member's edge is left out when
-    its relation id is dropped, and otherwise moved to the end of its
-    representative's path, which keeps the representative's place or,
-    when the representative had no edge there, comes after every other
-    character's path.
-    """
-    edges = []
-    for tan in bundle.subnetworks():
-        paths: dict[str, list[TemporalEdge]] = {}
-        for edge in tan.edges():
-            paths.setdefault(edge.character, []).append(edge)
-        for member, representative in mapping.items():
-            kept = [e._replace(character=representative) for e in paths.pop(member, ()) if e.relation_id not in dropped]
-            if kept:
-                paths[representative] = paths.get(representative, []) + kept
-        edges += [edge for path in paths.values() for edge in path]
-    return edges
-
-
-def rebuild_reference(bundle: NetworkBundle, plan) -> NetworkBundle:
-    """The merged bundle as `rebuild` assembles it from the plan's `merged_edges`."""
-    mapping = {duplicate: group.representative for group in plan.groups for duplicate in group.absorbed}
-    dropped = {relation_id for group in plan.groups for relation_id in group.dropped}
-    vertices = [v for v in bundle.vertices() if v.id not in mapping]
-    return rebuild(vertices, merged_edges(bundle, mapping, dropped), bundle.relation_types())
+def test_a_merge_keeps_the_smallest_relation_id_of_a_repeated_fact_and_the_first_member_to_hold_it():
+    people = [Vertex(cid, VertexKind.CHARACTER, "person", "Wu") for cid in "abc"]
+    places = [Vertex(eid, VertexKind.ENTITY, "institution", eid) for eid in "EFGH"]
+    filed = [
+        ("r000001", "a", "E", (2000, 2001)),
+        ("r000003", "c", "H", (2007, 2007)),  # b, absorbed before c, holds this fact under r000008
+        ("r000009", "b", "G", (2005, 2006)),  # b's r000004 holds the same fact under a smaller id
+        ("r000005", "b", "E", (2000, 2001)),  # a holds this fact
+        ("r000004", "b", "G", (2005, 2006)),
+        ("r000008", "b", "H", (2007, 2007)),
+        ("r000006", "c", "G", (2005, 2006)),
+        ("r000007", "c", "F", (2002, 2002)),
+    ]
+    bundle = rebuild(people + places, [TemporalEdge(r, c, e, "work", span) for r, c, e, span in filed], ["work"])
+    plan = plan_merge(bundle, [["c", "b", "a"]])
+    merged = apply_merge(bundle, plan)
+    # a's own edge, then b's kept edges in b's path order, then c's
+    assert [(e.relation_id, e.character) for e in merged.bundle.edges()] == [
+        ("r000001", "a"), ("r000004", "a"), ("r000008", "a"), ("r000007", "a")
+    ]
+    assert (merged.audit.dropped_edges, merged.audit.transferred_edges) == (4, 3)
+    expected, counts, _ = merge_by_rule(bundle, [["a", "b", "c"]])
+    assert list(merged.bundle.edges()) == list(expected.edges())
+    assert merged.audit._asdict() == counts
+    assert verify_merge(bundle, merged.bundle, plan).ok
 
 
 def paths_of(bundle: NetworkBundle, characters) -> dict[tuple[str, str], list]:
@@ -513,7 +506,7 @@ def test_apply_merge_equals_the_rebuild_reference_and_leaves_its_input_alone(sch
 
         plan = plan_merge(bundle, groups)
         merged = apply_merge(bundle, plan)
-        expected = rebuild_reference(bundle, plan)
+        expected, counts, _ = merge_by_rule(bundle, groups)
 
         result = merged.bundle
         assert result.sealed
@@ -522,6 +515,7 @@ def test_apply_merge_equals_the_rebuild_reference_and_leaves_its_input_alone(sch
         assert result.vertices() == expected.vertices()
         assert result.relation_types() == expected.relation_types()
         assert result.content_digest() == expected.content_digest()
+        assert merged.audit._asdict() == counts
         assert verify_merge(bundle, result, plan).ok
         if len(groups[0]) == 3:
             transferred_from_three_member_groups += merged.audit.transferred_edges
@@ -553,7 +547,8 @@ def test_a_subnetwork_is_its_paths_and_a_merge_rebuilds_only_its_members_paths()
         for tan in planted.subnetworks()
         if not tan.edges_of_character(c)
     )
-    plan = plan_merge(planted, [[representative, pair.original, pair.clone]])
+    group = [representative, pair.original, pair.clone]
+    plan = plan_merge(planted, [group])
     merged = apply_merge(planted, plan).bundle
     members = {representative, pair.original, pair.clone}
     for before, after in zip(planted.subnetworks(), merged.subnetworks()):
@@ -563,7 +558,7 @@ def test_a_subnetwork_is_its_paths_and_a_merge_rebuilds_only_its_members_paths()
         assert all(paths[c] is path for c, path in before._by_character.items() if c not in members)
 
     # the representative's new path comes after every other one: its members' kept edges, in id order
-    dropped = set(plan.groups[0].dropped)
+    _, _, dropped = merge_by_rule(planted, [group])
     gained = merged.subnetwork(beta)._by_character
     assert list(gained)[-1] == representative
     assert gained[representative] == [
@@ -573,46 +568,6 @@ def test_a_subnetwork_is_its_paths_and_a_merge_rebuilds_only_its_members_paths()
         if edge.relation_id not in dropped
     ]
     assert verify_merge(planted, merged, plan).ok
-
-
-def merge_by_rule(bundle: NetworkBundle, groups) -> tuple[NetworkBundle, dict, dict[str, tuple[str, ...]]]:
-    """The merged bundle, its audit counts and each representative's sorted dropped ids, from the rule alone.
-
-    Each group of two or more collapses onto its smallest id. Taking the
-    absorbed edges in (member id, relation id) order, an edge is dropped
-    exactly when its (entity, relation type, interval) fact is held by
-    the representative or by an earlier absorbed edge, and otherwise
-    kept under the representative as `merged_edges` orders it, with the
-    groups in order of their representatives and each group's members
-    in id order.
-    """
-    def fact(edge):
-        return edge.entity, edge.relation_type, edge.interval
-
-    mapping, dropped, dropped_by_group = {}, set(), {}
-    for group in groups:
-        representative, *absorbed = sorted(set(group))
-        held = {fact(e) for e in bundle.edges() if e.character == representative}
-        dropped_here = []
-        for edge in sorted(
-            (e for e in bundle.edges() if e.character in absorbed), key=lambda e: (e.character, e.relation_id)
-        ):
-            if fact(edge) in held:
-                dropped_here.append(edge.relation_id)
-            held.add(fact(edge))
-        mapping.update((member, representative) for member in absorbed)
-        dropped.update(dropped_here)
-        if absorbed:
-            dropped_by_group[representative] = tuple(sorted(dropped_here))
-    edges = merged_edges(bundle, dict(sorted(mapping.items(), key=lambda item: (item[1], item[0]))), dropped)
-    vertices = [v for v in bundle.vertices() if v.id not in mapping]
-    counts = {
-        "removed_vertices": len(mapping),
-        "dropped_edges": len(dropped),
-        "transferred_edges": sum(1 for e in bundle.edges() if e.character in mapping) - len(dropped),
-        "mapping": mapping,
-    }
-    return rebuild(vertices, edges, bundle.relation_types()), counts, dropped_by_group
 
 
 @st.composite
@@ -655,8 +610,7 @@ def test_apply_merge_of_a_plan_equals_a_rebuild_by_the_rule(case):
     bundle, groups = case
     plan = plan_merge(bundle, groups)
     merged = apply_merge(bundle, plan)
-    expected, counts, dropped = merge_by_rule(bundle, groups)
-    assert {group.representative: group.dropped for group in plan.groups} == dropped
+    expected, counts, _ = merge_by_rule(bundle, groups)
     characters = bundle.character_ids()
     assert list(merged.bundle.edges()) == list(expected.edges())
     assert paths_of(merged.bundle, characters) == paths_of(expected, characters)
@@ -721,19 +675,10 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
         if vertex.id not in absorbed:
             expected_facts[vertex.id] = [fact for fact, _ in before_index.get(vertex.id, ())]
     for group in plan.groups:
-        # every edge of an absorbed member that the plan does not drop lives on under the representative
-        members = set(group.absorbed)
-        group_edges = {edge.relation_id: edge for edge in before.edges() if edge.character in members}
-        for relation_id in sorted(set(group.dropped) - group_edges.keys()):
-            violations.append((
-                "neighbor degree mismatch",
-                f"plan drops {relation_id}, which is not an edge of an absorbed vertex of {group.representative}",
-            ))
+        # each fact of an absorbed member that the representative lacked lives on under it, once
         if group.representative in expected_facts:
-            for relation_id, edge in group_edges.items():
-                if relation_id not in group.dropped:
-                    fact = (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
-                    expected_facts[group.representative].append(fact)
+            facts = expected_facts[group.representative]
+            facts += {fact for member in group.absorbed for fact, _ in before_index.get(member, ())}.difference(facts)
     for vid, expected in expected_facts.items():
         if sorted(expected) != [fact for fact, _ in after_index.get(vid, ())]:
             violations.append(("neighbor degree mismatch", f"edge multiset of character {vid} changed"))
@@ -792,7 +737,7 @@ def corruptions(before: NetworkBundle, merged: NetworkBundle, plan, rng: random.
     yield "add a vertex", bundle_of(vertices + [Vertex("added-vertex", VertexKind.CHARACTER, "person", "New")], edges)
 
     # the absorbed character: its transferred edges live on under the representative
-    transferred = {e.relation_id for e in before.edges() if e.character == absorbed} - set(group.dropped)
+    transferred = {e.relation_id for e in before.edges() if e.character == absorbed} & {e.relation_id for e in edges}
     moved = [i for i, e in enumerate(edges) if e.relation_id in transferred]
     if moved:
         i = rng.choice(moved)
