@@ -14,7 +14,6 @@ person is the job of the screening and similarity layers built on top.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter, namedtuple
 from enum import Enum
 from itertools import chain
@@ -142,7 +141,6 @@ class NetworkBundle:
         # from tuple spans; empty once sealed
         self._intervals: dict[tuple[int, int], TimeInterval] = {}
         self._sealed = False
-        self._digest: str | None = None
         self._next_character = 1
         self._next_entity = 1
         self._next_relation = 1
@@ -328,18 +326,6 @@ class NetworkBundle:
     @property
     def sealed(self) -> bool:
         return self._sealed
-
-    def content_digest(self) -> str:
-        """Sha256 of the sorted vertex ids and edge facts, computed once per sealed bundle."""
-        if not self._sealed:
-            raise GraphError("content digest of an unsealed bundle; seal it first")
-        if self._digest is None:
-            edges = sorted(
-                (e.relation_id, e.character, e.entity, e.relation_type, e.interval.start, e.interval.end)
-                for e in self.edges()
-            )
-            self._digest = hashlib.sha256(repr((sorted(self._vertices), edges)).encode("utf-8")).hexdigest()
-        return self._digest
 
     # -- lookups ----------------------------------------------------------
 

@@ -38,9 +38,9 @@ class GroupPlan(NamedTuple):
 
 
 class MergePlan(NamedTuple):
+    """The groups of one merge, and the sealed bundle they were planned on: the only bundle the plan merges."""
+
     groups: list[GroupPlan]
-    # the sealed bundle the plan was built on; `apply_merge` compares
-    # content digests only when handed a different bundle
     source: NetworkBundle
 
     def __repr__(self) -> str:
@@ -98,70 +98,61 @@ def _character_facts(bundle: NetworkBundle, character: str) -> list[tuple[_Fact,
     )
 
 
+def _absorbed_by(bundle: NetworkBundle, groups: Sequence[GroupPlan]) -> dict[str, str]:
+    """Map each absorbed id of `groups` to its representative, in plan order.
+
+    The one membership rule of :func:`plan_merge` and :func:`apply_merge`:
+    every member must be a character of `bundle`, and no id may appear
+    twice in the plan, whether in two groups or twice in one.
+    """
+    group_of: dict[str, int] = {}
+    mapping: dict[str, str] = {}
+    for i, (representative, absorbed) in enumerate(groups):
+        for member, role in ((representative, "representative"), *((a, "absorbed vertex") for a in absorbed)):
+            if not bundle.has_vertex(member):
+                raise StalePlanError(f"{role} {member!r} missing from bundle")
+            if bundle.vertex(member).kind is not VertexKind.CHARACTER:
+                raise MergeError(f"cannot merge non-character vertex {member!r}")
+            if member in group_of:
+                where = "more than one group" if group_of[member] != i else f"the group of {representative!r} twice"
+                raise MergeError(f"vertex {member!r} appears in {where}")
+            group_of[member] = i
+        mapping.update(dict.fromkeys(absorbed, representative))
+    return mapping
+
+
 def plan_merge(bundle: NetworkBundle, groups: Sequence[Sequence[str]]) -> MergePlan:
     """Name, per group of two or more, who survives and who is absorbed.
 
     The smallest id survives and absorbs the others in id order, and the
     groups follow their representatives' order. Every member must be a
     character of `bundle` in no other group. No edge is read:
-    :func:`apply_merge` decides which absorbed edges are dropped.
+    :func:`apply_merge` decides which absorbed edges are dropped. The
+    plan merges only `bundle` itself.
     """
     if not bundle.sealed:
         raise GraphError("merge plan of an unsealed bundle; seal it first")
-    seen: set[str] = set()
-    plans: list[GroupPlan] = []
-    for group in sorted((sorted(set(g)) for g in groups), key=lambda g: g[0] if g else ""):
-        if len(group) < 2:
-            continue
-        for member in group:
-            if member in seen:
-                raise MergeError(f"vertex {member!r} appears in more than one group")
-            seen.add(member)
-            if bundle.vertex(member).kind is not VertexKind.CHARACTER:
-                raise MergeError(f"cannot merge non-character vertex {member!r}")
-        plans.append(GroupPlan(group[0], tuple(group[1:])))
+    members = sorted((sorted(set(g)) for g in groups), key=lambda g: g[0] if g else "")
+    plans = [GroupPlan(group[0], tuple(group[1:])) for group in members if len(group) > 1]
+    _absorbed_by(bundle, plans)
     return MergePlan(groups=plans, source=bundle)
-
-
-def _require_character(bundle: NetworkBundle, vertex_id: str, role: str) -> None:
-    """Fail unless the plan member `vertex_id`, named by `role` when missing, is a character of `bundle`."""
-    if not bundle.has_vertex(vertex_id):
-        raise StalePlanError(f"{role} {vertex_id!r} missing from bundle")
-    if bundle.vertex(vertex_id).kind is not VertexKind.CHARACTER:
-        raise MergeError(f"cannot merge non-character vertex {vertex_id!r}")
 
 
 def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     """Produce the corrected bundle with every absorbed vertex removed.
 
-    Every group member must be a character of `bundle` that belongs to
-    no other group. The representative keeps its own edges and gains
-    each fact of its absorbed members that it lacked, once, as
+    `bundle` must be the bundle the plan was made on; an equal copy is
+    refused too. The plan must also pass :func:`plan_merge`'s membership
+    rule. Either failure raises before any edge moves. The
+    representative keeps its own edges and gains each fact of its
+    absorbed members that it lacked, once, as
     :meth:`NetworkBundle._derive` decides. Only the group members' edges
     are visited: the result shares every subnetwork, edge list and edge
-    that no absorbed vertex touches with `bundle`. The content digests
-    are compared, and so computed, only when `bundle` is not the bundle
-    the plan was built on.
+    that no absorbed vertex touches with `bundle`.
     """
-    if bundle is not plan.source and bundle.content_digest() != plan.source.content_digest():
+    if bundle is not plan.source:
         raise StalePlanError("plan was computed against a different bundle")
-
-    mapping: dict[str, str] = {}
-    representatives: set[str] = set()
-    for group in plan.groups:
-        _require_character(bundle, group.representative, "representative")
-        if group.representative in representatives:
-            raise MergeError(f"vertex {group.representative!r} appears in more than one group")
-        representatives.add(group.representative)
-        for duplicate in group.absorbed:
-            _require_character(bundle, duplicate, "absorbed vertex")
-            if duplicate in mapping:
-                raise MergeError(f"vertex {duplicate!r} appears in more than one group")
-            mapping[duplicate] = group.representative
-    for group in plan.groups:
-        if group.representative in mapping:
-            raise StalePlanError(f"representative {group.representative!r} is absorbed by another group")
-
+    mapping = _absorbed_by(bundle, plan.groups)
     merged, dropped, transferred = bundle._derive(mapping)
     audit = MergeAudit(
         removed_vertices=len(mapping),
@@ -228,10 +219,14 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
         if after.has_vertex(vid):
             report.add("absorbed vertex present", f"{vid} survived the merge")
 
-    # endpoints are checked at C speed; only a missing one walks the edges to name them in order
+    # endpoints are checked at C speed, a subnetwork's characters as its path keys; only
+    # a missing one walks the edges to name them in order
     vertex_ids = {vertex.id for vertex in after.vertices()}
-    endpoints = (attrgetter("character"), attrgetter("entity"))
-    if not all(set(map(get, tan.edges())) <= vertex_ids for tan in after.subnetworks() for get in endpoints):
+    entity = attrgetter("entity")
+    if not all(
+        tan._by_character.keys() <= vertex_ids and set(map(entity, tan.edges())) <= vertex_ids
+        for tan in after.subnetworks()
+    ):
         for edge in after.edges():
             if edge.character not in vertex_ids or edge.entity not in vertex_ids:
                 report.add("dangling endpoint", f"edge {edge.relation_id} references a missing vertex")

@@ -199,11 +199,11 @@ def plant_duplicates(
                     type_label = bundle.vertex(entity).type_label
                     pool = [eid for eid in entities_by_type.get(type_label, []) if eid not in own]
                     if not pool:
-                        pool = [
-                            new_bundle.add_vertex(
-                                VertexKind.ENTITY, type_label, f"stand-in-{clone_id}", vertex_id=f"swap-{clone_id}"
-                            )
-                        ]
+                        # a subnetwork that holds two entity types may need a stand-in of each
+                        stand_in = f"swap-{clone_id}"
+                        if new_bundle.has_vertex(stand_in):
+                            stand_in += f"-{type_label}"
+                        pool = [new_bundle.add_vertex(VertexKind.ENTITY, type_label, f"stand-in-{clone_id}", stand_in)]
                         entities_by_type.setdefault(type_label, []).append(pool[0])
                     entity = rng.choice(pool)
                 plant_edge(entity, edge.relation_type, edge.interval)

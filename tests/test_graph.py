@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 
@@ -24,7 +23,6 @@ from tapmerge import (
 )
 from tapmerge.graph import (
     DuplicateIdError,
-    GraphError,
     OneModeRelation,
     SealedBundleError,
     UnknownVertexError,
@@ -271,68 +269,6 @@ def test_rebuild_stores_the_callers_edge_objects(club):
     copy = rebuild(club.bundle.vertices(), club.bundle.edges(), club.bundle.relation_types())
     originals = {e.relation_id: e for e in club.bundle.edges()}
     assert all(originals[e.relation_id] is e for e in copy.edges())
-
-
-def test_content_digest_needs_a_sealed_bundle():
-    bundle = person_and_entity()
-    with pytest.raises(GraphError, match="unsealed"):
-        bundle.content_digest()
-    assert len(bundle.seal().content_digest()) == 64
-
-
-def test_content_digest_ignores_insertion_order():
-    def build(order):
-        bundle = NetworkBundle()
-        for kind, vid in order:
-            bundle.add_vertex(kind, "person" if kind is VertexKind.CHARACTER else "club", vid, vertex_id=vid)
-        return bundle
-
-    forward = build([(VertexKind.CHARACTER, "c1"), (VertexKind.CHARACTER, "c2"), (VertexKind.ENTITY, "e1")])
-    backward = build([(VertexKind.ENTITY, "e1"), (VertexKind.CHARACTER, "c2"), (VertexKind.CHARACTER, "c1")])
-    forward.add_edge("c1", "e1", "member", (2000, 2001), relation_id="r1")
-    forward.add_edge("c2", "e1", "chair", (2002, 2003), relation_id="r2")
-    backward.add_edge("c2", "e1", "chair", (2002, 2003), relation_id="r2")
-    backward.add_edge("c1", "e1", "member", (2000, 2001), relation_id="r1")
-    assert forward.seal().content_digest() == backward.seal().content_digest()
-
-
-def test_content_digest_changes_with_one_interval(club):
-    edges = list(club.bundle.edges())
-    shifted = [edges[0]._replace(interval=TimeInterval(edges[0].interval.start, edges[0].interval.end + 1)), *edges[1:]]
-    copy = rebuild(club.bundle.vertices(), edges, club.bundle.relation_types())
-    changed = rebuild(club.bundle.vertices(), shifted, club.bundle.relation_types())
-    assert copy.content_digest() == club.bundle.content_digest()
-    assert changed.content_digest() != club.bundle.content_digest()
-
-
-def content_digest_reference(bundle: NetworkBundle) -> str:
-    vertex_ids = sorted(v.id for v in bundle.vertices())
-    edges = sorted(
-        (e.relation_id, e.character, e.entity, e.relation_type, e.interval.start, e.interval.end)
-        for e in bundle.edges()
-    )
-    return hashlib.sha256(repr((vertex_ids, edges)).encode("utf-8")).hexdigest()
-
-
-def many_edges() -> NetworkBundle:
-    # more vertices and edges than the digest renders per slice
-    bundle = NetworkBundle()
-    person = bundle.add_vertex(VertexKind.CHARACTER, "person", "Fäye")
-    for i in range(9000):
-        bundle.add_vertex(VertexKind.ENTITY, "club", f"club {i}")
-    for i in range(9000):
-        bundle.add_edge(person, f"e{i % 7 + 1:06d}", "mémber", (2000 + i % 5, 2010))
-    return bundle.seal()
-
-
-@pytest.mark.parametrize("which", ["scholars", "empty", "many edges"])
-def test_content_digest_equals_the_sha256_of_one_repr(scholars_bundle, which):
-    bundle = {
-        "scholars": lambda: scholars_bundle,
-        "empty": lambda: NetworkBundle().seal(),
-        "many edges": many_edges,
-    }[which]()
-    assert bundle.content_digest() == content_digest_reference(bundle)
 
 
 def test_edges_of_character_is_a_copy_the_caller_may_change(club):

@@ -3,12 +3,13 @@
 The machine builds small `testkit` bundles whose people repeat facts,
 across people and as parallel edges, and plans merges on them. It then
 edits, splices and overlaps the plans as a library caller could, and
-applies them to their own bundles, to copies, changed or unsealed, and
-to other bundles. Every `apply_merge` must raise a `GraphError` or
-return a merge that `verify_merge` passes and that holds exactly the
+applies them to their own bundles, to copies, equal, changed or
+unsealed, and to other bundles. A plan merges only its own bundle:
+`apply_merge` of it to any other must raise `StalePlanError`. On its
+own bundle, a plan that `plan_merge` made must give `merge_by_rule`'s
+merge, counts and all, and an edited plan must raise a `GraphError` or
+give a merge that `verify_merge` passes and that holds exactly the
 facts of its input, each absorbed person's under its representative.
-A plan that `plan_merge` made must, where it applies, give
-`merge_by_rule`'s merge of the bundle it was made on, counts and all.
 `--hypothesis-profile=deep` runs ten times as many examples.
 """
 
@@ -16,13 +17,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule
 
 from tapmerge import NetworkBundle, TimeInterval, VertexKind, apply_merge, plan_merge, rebuild, verify_merge
 from tapmerge.graph import GraphError
-from tapmerge.merge import GroupPlan, MergePlan
+from tapmerge.merge import GroupPlan, MergePlan, StalePlanError
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 from conftest import MACHINE_EXAMPLES
@@ -41,16 +43,26 @@ def facts(bundle: NetworkBundle, mapping: dict[str, str]) -> set[tuple]:
 
 
 def check_apply(bundle: NetworkBundle, case: Case) -> None:
-    """Apply the case's plan to `bundle`: it raises a `GraphError` or makes a merge that loses no fact."""
+    """Apply the case's plan to `bundle`: only its own bundle merges, and no merge loses a fact."""
+    if bundle is not case.plan.source:
+        with pytest.raises(StalePlanError, match="^plan was computed against a different bundle$"):
+            apply_merge(bundle, case.plan)
+        return
     try:
         merged = apply_merge(bundle, case.plan)
     except GraphError:
+        # only an edited plan is refused
+        assert case.groups is None
         return
+    # a plan merges only when each of its members is a character, named once
+    members = [member for group in case.plan.groups for member in (group.representative, *group.absorbed)]
+    assert len(set(members)) == len(members)
+    assert all(bundle.vertex(member).kind is VertexKind.CHARACTER for member in members)
     report = verify_merge(bundle, merged.bundle, case.plan)
     assert report.ok, report.violations
     assert facts(merged.bundle, {}) == facts(bundle, merged.audit.mapping)
     if case.groups is not None:
-        expected, counts, _ = merge_by_rule(case.plan.source, case.groups)
+        expected, counts, _ = merge_by_rule(bundle, case.groups)
         assert list(merged.bundle.edges()) == list(expected.edges())
         assert merged.bundle.vertices() == expected.vertices()
         assert merged.audit._asdict() == counts
@@ -105,7 +117,7 @@ class MergeMachine(RuleBasedStateMachine):
 
     @rule(target=bundles, case=cases)
     def copy(self, case):
-        """A sealed copy of a plan's bundle, every edge filed in the same order, which the plan merges as its own."""
+        """A sealed copy of a plan's bundle, every edge filed in the same order, which the plan must not merge."""
         bundle = case.plan.source
         copy = rebuild(bundle.vertices(), bundle.edges(), bundle.relation_types())
         check_apply(copy, case)
@@ -113,7 +125,7 @@ class MergeMachine(RuleBasedStateMachine):
 
     @rule(target=bundles, case=cases, data=st.data())
     def changed_copy(self, case, data):
-        """A copy of a plan's bundle with one edge a year longer, which the plan must not merge as its own."""
+        """A copy of a plan's bundle with one edge a year longer, which the plan must not merge."""
         bundle = case.plan.source
         edges = list(bundle.edges())
         if not edges:
@@ -184,6 +196,21 @@ class MergeMachine(RuleBasedStateMachine):
             groups[i] = groups[i]._replace(representative=member)
         else:
             groups[i] = groups[i]._replace(absorbed=(*groups[i].absorbed, member))
+        return edited(case, groups)
+
+    @rule(target=cases, case=cases, data=st.data())
+    def add_entity(self, case, data):
+        """Put an entity of the plan's bundle into a group, as its representative or absorbed."""
+        groups = list(case.plan.groups)
+        entities = [vertex.id for vertex in case.plan.source.vertices(VertexKind.ENTITY)]
+        if not groups or not entities:
+            return multiple()
+        entity = data.draw(st.sampled_from(entities))
+        i = data.draw(st.integers(0, len(groups) - 1))
+        if data.draw(st.booleans()):
+            groups[i] = groups[i]._replace(representative=entity)
+        else:
+            groups[i] = groups[i]._replace(absorbed=(*groups[i].absorbed, entity))
         return edited(case, groups)
 
     @rule(target=cases, case=cases, data=st.data())

@@ -49,3 +49,15 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_hashing_or_logging():
+    # a library caller pays for what `import tapmerge` loads; only the CLI logs, and
+    # it hashes only its input files, so both modules load there and not here
+    code = "import sys, tapmerge; print(sorted({'hashlib', 'logging'} & sys.modules.keys()))"
+    src = str(PACKAGE_DIR.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"

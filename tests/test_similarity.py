@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import tempfile
@@ -52,6 +50,7 @@ from tapmerge.testkit import (
 from tapmerge.unionfind import UnionFind
 
 from conftest import SCHOLAR_NOW
+from dedupe_reference import csv_reference
 from test_screening import assert_screen_matches_brute_force
 
 
@@ -284,12 +283,6 @@ def awkward_names_bundle(names: list[str] = AWKWARD_NAMES) -> NetworkBundle:
         person = bundle.add_vertex(VertexKind.CHARACTER, "person", name)
         bundle.add_edge(person, club_, "member", (2000 + i % 4, 2003 + i % 3))
     return bundle.seal()
-
-
-def csv_reference(rows: list[list[str]]) -> bytes:
-    buffer = io.StringIO(newline="")
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue().encode("utf-8")
 
 
 def test_writers_match_a_csv_writer_reference(tmp_path):

@@ -95,6 +95,19 @@ def test_partial_clones_fail_structure_screening(seed):
         assert structure_error(planted, pair.original, pair.clone).value > 0.0
 
 
+def test_a_partial_clone_gets_a_stand_in_of_each_entity_type_its_subnetwork_lacks():
+    # the source holds every entity of both types, so each swapped edge needs a stand-in; it used to
+    # fail with a DuplicateIdError when the second type reused the first stand-in's id
+    bundle = NetworkBundle()
+    ann = bundle.add_vertex(VertexKind.CHARACTER, "person", "Ann")
+    for type_label in ("institution", "paper"):
+        bundle.add_edge(ann, bundle.add_vertex(VertexKind.ENTITY, type_label, type_label), "work", (2000, 2001))
+    planted, (pair,) = plant_duplicates(bundle.seal(), k=1, mode=PlantMode.PARTIAL_CLONE)
+    stand_ins = {planted.vertex(e.entity).type_label for e in planted.edges() if e.character == pair.clone}
+    assert stand_ins == {"institution", "paper"}
+    assert not structure_error(planted, pair.original, pair.clone).is_zero
+
+
 def test_oracle_trivial_cases(club):
     assert oracle_simtap_beta(club.tan, club.mona, club.mona, now=2006) == 1.0
     bundle = NetworkBundle()
