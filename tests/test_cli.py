@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import hashlib
 import json
 import logging
 import os
@@ -171,6 +172,25 @@ def test_dedupe_outputs_equal_the_golden_files(tmp_path):
     assert written == sorted(p.name for p in GOLDEN_DEDUPE.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DEDUPE / name).read_bytes(), name
+
+
+def test_dedupe_never_hashes_the_bundle(tmp_path, monkeypatch):
+    # the run manifest hashes the two input files; nothing else is hashed
+    hashed = []
+
+    def recording_sha256(path):
+        hashed.append(Path(path))
+        return real_sha256(path)
+
+    real_sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", recording_sha256)
+    assert run("dedupe", *base_args(tmp_path), "--theta", "0.8", "--now", "2014") == 0
+    assert hashed == [SCHOLARS_CSV, SCHOLARS_MANIFEST]
+    inputs = json.loads((tmp_path / "run_manifest.json").read_text())["inputs"]
+    assert inputs["records"]["sha256"] == hashlib.sha256(SCHOLARS_CSV.read_bytes()).hexdigest()
+    assert inputs["manifest"]["sha256"] == hashlib.sha256(SCHOLARS_MANIFEST.read_bytes()).hexdigest()
+    for golden in GOLDEN_DEDUPE.iterdir():
+        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name
 
 
 def test_dedupe_groups_both_pairs_at_lower_theta(tmp_path):

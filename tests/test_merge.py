@@ -418,6 +418,21 @@ def test_a_group_that_repeats_a_member_fails_in_apply_and_names_the_group(repeat
     assert "another group" not in str(raised.value)
 
 
+@pytest.mark.parametrize("role", ["representative", "absorbed vertex"])
+def test_an_unknown_member_is_a_stale_plan_in_plan_merge_and_in_apply(role):
+    # "0ghost" sorts before every character id, so plan_merge makes it the representative
+    bundle = clone_trio_bundle()
+    first, second, _ = bundle.character_ids()
+    ghost = {"representative": "0ghost", "absorbed vertex": "zghost"}[role]
+    group = {"representative": GroupPlan(ghost, (first,)), "absorbed vertex": GroupPlan(first, (second, ghost))}[role]
+    with pytest.raises(StalePlanError) as planned:
+        plan_merge(bundle, [[group.representative, *group.absorbed]])
+    with pytest.raises(StalePlanError) as raised:
+        apply_merge(bundle, MergePlan([group], bundle))
+    assert isinstance(raised.value, GraphError)
+    assert str(raised.value) == str(planned.value) == f"{role} {ghost!r} missing from bundle"
+
+
 def test_a_hand_edited_plan_cannot_drop_a_fact_the_group_lacks():
     # a plan that named both of c's edges as drops would lose (work, F, 2003-2004)
     bundle = NetworkBundle()
