@@ -197,7 +197,10 @@ def _span(start: str, end: str) -> tuple[int, int] | str:
     start, end = start.strip(), end.strip()
     if not (_INTEGER.fullmatch(start) and _INTEGER.fullmatch(end)):
         return "start/end are not integers"
-    bounds = (int(start), int(end))
+    try:
+        bounds = (int(start), int(end))
+    except ValueError:  # more digits than `sys.get_int_max_str_digits()` allows
+        return "start/end have too many digits"
     if bounds[0] < 0 or bounds[1] < 0:
         return "negative time point"
     if bounds[1] < bounds[0]:
@@ -222,7 +225,8 @@ def load(
     and checked: its first failed check names it, in the order field
     count, empty name, bounds, undeclared relation type. Malformed rows
     are skipped and reported, or fatal under `strict`. Under `strict` a
-    relation type absent from the manifest is also fatal.
+    relation type absent from the manifest is also fatal. A field longer
+    than `csv.field_size_limit()` is fatal in both modes.
     """
     manifest = DatasetManifest.from_json(manifest_path) if manifest_path else DatasetManifest()
     report = LoadReport()
@@ -236,52 +240,56 @@ def load(
     # `utf-8-sig` also reads a file that starts with a byte-order mark, as spreadsheet exports do
     with open(records_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        # the first line is the header even when it is blank; an empty file has none
-        header = next(reader, None)
-        if header is not None and header != RECORDS_HEADER:
-            raise IngestError(f"unexpected header {header}; expected {','.join(RECORDS_HEADER)}")
-        for row in reader:
-            if len(row) == width:
-                character_id, name, entity_name, entity_type, relation_type, start, end = row
-                vertex = by_id.get(character_id) if character_id else by_name.get(name)
-                entity = entities.get((entity_name, entity_type))
-                interval = spans.get((start, end))
-                network = networks.get(relation_type)
-                found = vertex is not None and entity is not None and interval is not None and network is not None
-                # an explicit id is found only together with its first name; the
-                # vertex's id, not the row's copy of it, goes into the edge
-                if found and vertex.display_name == name:
-                    loaded += 1
-                    _file(network, loaded, vertex.id, entity, interval)
-                    continue
-            elif not row:
-                continue  # a blank line is no row
-            if len(row) < width:
-                reason = f"expected {width} fields, got {len(row)}"
-            else:
-                names = (row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip())
-                span = (row[5], row[6])
-                # a span seen before is its interval, itself a (start, end) tuple
-                bounds = spans.get(span) or _span(*span)
-                if not all(names):
-                    reason = f"empty {RECORDS_HEADER[1 + names.index('')]}"
-                elif type(bounds) is str:
-                    reason = bounds
-                elif declared_relations and names[3] not in declared_relations:
-                    reason = f"undeclared relation type {names[3]!r}"
+        try:
+            # the first line is the header even when it is blank; an empty file has none
+            header = next(reader, None)
+            if header is not None and header != RECORDS_HEADER:
+                raise IngestError(f"unexpected header {header}; expected {','.join(RECORDS_HEADER)}")
+            for row in reader:
+                if len(row) == width:
+                    character_id, name, entity_name, entity_type, relation_type, start, end = row
+                    vertex = by_id.get(character_id) if character_id else by_name.get(name)
+                    entity = entities.get((entity_name, entity_type))
+                    interval = spans.get((start, end))
+                    network = networks.get(relation_type)
+                    found = vertex is not None and entity is not None and interval is not None and network is not None
+                    # an explicit id is found only together with its first name; the
+                    # vertex's id, not the row's copy of it, goes into the edge
+                    if found and vertex.display_name == name:
+                        loaded += 1
+                        _file(network, loaded, vertex.id, entity, interval)
+                        continue
+                elif not row:
+                    continue  # a blank line is no row
+                if len(row) < width:
+                    reason = f"expected {width} fields, got {len(row)}"
                 else:
-                    character = keys.character(row[0].strip() or None, names[0], reader.line_num)
-                    entity = entities[names[1], names[2]]
-                    interval = spans[span] = keys.intervals[bounds]
-                    loaded += 1
-                    _file(networks[names[3]], loaded, character, entity, interval)
-                    continue
-            # the file line the row ends on, so skipped blank lines are counted
-            if strict:
-                raise IngestError(f"line {reader.line_num}: {reason}")
-            # the header's fields: a short row is padded, extra fields are dropped
-            raw = ",".join((row + [""] * width)[:width])
-            report.rejected.append(RejectedRow(reader.line_num, reason, raw))
+                    names = (row[1].strip(), row[2].strip(), row[3].strip(), row[4].strip())
+                    span = (row[5], row[6])
+                    # a span seen before is its interval, itself a (start, end) tuple
+                    bounds = spans.get(span) or _span(*span)
+                    if not all(names):
+                        reason = f"empty {RECORDS_HEADER[1 + names.index('')]}"
+                    elif type(bounds) is str:
+                        reason = bounds
+                    elif declared_relations and names[3] not in declared_relations:
+                        reason = f"undeclared relation type {names[3]!r}"
+                    else:
+                        character = keys.character(row[0].strip() or None, names[0], reader.line_num)
+                        entity = entities[names[1], names[2]]
+                        interval = spans[span] = keys.intervals[bounds]
+                        loaded += 1
+                        _file(networks[names[3]], loaded, character, entity, interval)
+                        continue
+                # the file line the row ends on, so skipped blank lines are counted
+                if strict:
+                    raise IngestError(f"line {reader.line_num}: {reason}")
+                # the header's fields: a short row is padded, extra fields are dropped
+                raw = ",".join((row + [""] * width)[:width])
+                report.rejected.append(RejectedRow(reader.line_num, reason, raw))
+        except csv.Error as exc:
+            # the reader gave up, as on a field past `csv.field_size_limit()`: no later row can be trusted
+            raise IngestError(f"line {reader.line_num}: {exc}") from None
     bundle = keys.bundle.seal()
     report.loaded_rows, report.total_rows = loaded, loaded + len(report.rejected)
     # the bundle holds the types of loaded rows only, each kind in first-seen order

@@ -5,8 +5,11 @@ provenance keeps every absorbed name reachable). A plan names only who
 merges. Applying it drops an absorbed edge when the group already holds
 the identical (entity, relation type, interval) fact, and transfers it
 otherwise, so near-duplicates that disagree on a date lose nothing and
-no plan can lose a fact. Merging operates on the 2-mode bundle; the
-1-mode projection is recomputed afterwards by callers that need it.
+no plan can lose a fact. Planning, applying and verifying hold a plan
+to one membership rule, so `verify_merge` refuses, with `apply_merge`'s
+error, any plan that `apply_merge` refuses. Merging operates on the
+2-mode bundle; the 1-mode projection is recomputed afterwards by
+callers that need it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .graph import GraphError, NetworkBundle, VertexKind
-from .unionfind import UnionFind
 
 _Fact = tuple[str, str, int, int]  # (entity, relation type, start, end)
 
@@ -46,10 +48,6 @@ class MergePlan(NamedTuple):
     def __repr__(self) -> str:
         # a bundle's repr is only its address
         return f"MergePlan(groups={self.groups!r})"
-
-    @property
-    def removed_vertex_count(self) -> int:
-        return sum(len(g.absorbed) for g in self.groups)
 
 
 class MergeAudit(NamedTuple):
@@ -101,9 +99,10 @@ def _character_facts(bundle: NetworkBundle, character: str) -> list[tuple[_Fact,
 def _absorbed_by(bundle: NetworkBundle, groups: Sequence[GroupPlan]) -> dict[str, str]:
     """Map each absorbed id of `groups` to its representative, in plan order.
 
-    The one membership rule of :func:`plan_merge` and :func:`apply_merge`:
-    every member must be a character of `bundle`, and no id may appear
-    twice in the plan, whether in two groups or twice in one.
+    The one membership rule of :func:`plan_merge`, :func:`apply_merge`
+    and :func:`verify_merge`: every member must be a character of
+    `bundle`, and no id may appear twice in the plan, whether in two
+    groups or twice in one.
     """
     group_of: dict[str, int] = {}
     mapping: dict[str, str] = {}
@@ -163,59 +162,27 @@ def apply_merge(bundle: NetworkBundle, plan: MergePlan) -> MergedNetwork:
     return MergedNetwork(bundle=merged, audit=audit)
 
 
-def _joined_groups(plan: MergePlan, report: VerificationReport) -> list[GroupPlan]:
-    """The plan's groups, with the groups that share a member joined into one.
-
-    The shared members are named in one `overlapping groups` violation.
-    A joined group is led by the representative of its first group in
-    the plan and absorbs every other member.
-    """
-    first: dict[str, int] = {}
-    components = UnionFind()
-    shared: set[str] = set()
-    for i, group in enumerate(plan.groups):
-        for member in (group.representative, *group.absorbed):
-            j = first.setdefault(member, i)
-            if j != i:
-                shared.add(member)
-                components.union(j, i)
-    if not shared:
-        return plan.groups
-    report.add("overlapping groups", f"more than one group holds {', '.join(sorted(shared))}")
-    joined: dict[int, list[GroupPlan]] = {}
-    for i, group in enumerate(plan.groups):
-        joined.setdefault(components.find(i), []).append(group)
-    out = []
-    for groups in joined.values():
-        representative = groups[0].representative
-        members = {member for group in groups for member in (group.representative, *group.absorbed)}
-        out.append(GroupPlan(representative, tuple(sorted(members - {representative}))))
-    return out
-
-
 def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -> VerificationReport:
     """Re-check the merge postconditions from scratch; empty report on success.
 
-    A character outside every group passes the edge multiset check at
+    The plan must pass the one membership rule of :func:`apply_merge`
+    on `before`: a plan it refuses raises the same `StalePlanError` or
+    `MergeError`, with the same text, and no fact is checked. A
+    character outside every group passes the edge multiset check at
     once when each of its edge lists equals its list in `before`. Each
     group is then checked on its own, so only one group's facts are held
     at a time: its representative must hold its own facts plus each
     fact of its absorbed members that it lacked, once, as worked out
-    from `before` alone. Groups that share a member, which
-    :func:`apply_merge` refuses, are reported and checked as one group.
+    from `before` alone.
     """
+    mapping = _absorbed_by(before, plan.groups)
     report = VerificationReport()
-    groups = _joined_groups(plan, report)
 
-    expected_removed = plan.removed_vertex_count
-    if after.vertex_count != before.vertex_count - expected_removed:
-        report.add(
-            "vertex count mismatch",
-            f"expected {before.vertex_count - expected_removed} vertices, found {after.vertex_count}",
-        )
+    expected_vertices = before.vertex_count - len(mapping)
+    if after.vertex_count != expected_vertices:
+        report.add("vertex count mismatch", f"expected {expected_vertices} vertices, found {after.vertex_count}")
 
-    absorbed = {dup for group in groups for dup in group.absorbed}
-    for vid in absorbed:
+    for vid in mapping:
         if after.has_vertex(vid):
             report.add("absorbed vertex present", f"{vid} survived the merge")
 
@@ -232,7 +199,7 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
                 report.add("dangling endpoint", f"edge {edge.relation_id} references a missing vertex")
 
     # a character outside every group keeps its edge multiset exactly
-    members = absorbed.union(group.representative for group in groups)
+    members = mapping.keys() | {group.representative for group in plan.groups}
     changed = before.changed_paths(after)
     for vertex in before.vertices(VertexKind.CHARACTER):
         vid = vertex.id
@@ -241,21 +208,14 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
             if [fact for fact, _ in pre] != [fact for fact, _ in post]:
                 report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
 
-    for group in groups:
-        representative = group.representative
+    for representative, absorbed in plan.groups:
         own, post = _character_facts(before, representative), _character_facts(after, representative)
-        absorbed_facts = [entry for duplicate in group.absorbed for entry in _character_facts(before, duplicate)]
-        is_character = [
-            bundle.has_vertex(representative) and bundle.vertex(representative).kind is VertexKind.CHARACTER
-            for bundle in (before, after)
-        ]
-        # the representative gains each absorbed fact it lacked, once; one that is no
-        # surviving character of `before` has no expected facts, and the kind check reports it
-        if is_character[0] and representative not in absorbed:
-            own_facts = [fact for fact, _ in own]
-            gained = {fact for fact, _ in absorbed_facts}.difference(own_facts)
-            if sorted([*own_facts, *gained]) != [fact for fact, _ in post]:
-                report.add("neighbor degree mismatch", f"edge multiset of character {representative} changed")
+        absorbed_facts = [entry for duplicate in absorbed for entry in _character_facts(before, duplicate)]
+        # the representative gains each absorbed fact it lacked, once
+        own_facts = [fact for fact, _ in own]
+        gained = {fact for fact, _ in absorbed_facts}.difference(own_facts)
+        if sorted([*own_facts, *gained]) != [fact for fact, _ in post]:
+            report.add("neighbor degree mismatch", f"edge multiset of character {representative} changed")
 
         # the representative carries the group's distinct facts, nothing lost
         pre_by_entity: dict[str, set] = {}
@@ -272,12 +232,9 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
                     f"{sorted(pre_facts)} -> {sorted(post_facts)}",
                 )
 
-        # the representative is a character vertex of the input and still one of the result
-        for character, role in zip(is_character, ("input", "result")):
-            if not character:
-                report.add(
-                    "representative not a character", f"{representative} is not a character vertex of the {role}"
-                )
+        # the representative is still a character vertex of the result
+        if not (after.has_vertex(representative) and after.vertex(representative).kind is VertexKind.CHARACTER):
+            report.add("representative not a character", f"{representative} is not a character vertex of the result")
     return report
 
 

@@ -78,7 +78,10 @@ def _span(start: str, end: str) -> tuple[int, int] | str:
     start, end = start.strip(), end.strip()
     if not (_INTEGER.fullmatch(start) and _INTEGER.fullmatch(end)):
         return "start/end are not integers"
-    bounds = (int(start), int(end))
+    try:
+        bounds = (int(start), int(end))
+    except ValueError:  # more digits than `sys.get_int_max_str_digits()` allows
+        return "start/end have too many digits"
     if bounds[0] < 0 or bounds[1] < 0:
         return "negative time point"
     if bounds[1] < bounds[0]:

@@ -17,6 +17,8 @@ import pytest
 from tapmerge import export, load
 from tapmerge import cli, screening
 from tapmerge.cli import main
+from tapmerge.graph import VertexKind
+from tapmerge.merge import VerificationReport
 from tapmerge.testkit import PlantMode, RandomBundleSpec, generate, plant_duplicates
 
 from conftest import DATA_DIR, SCHOLARS_CSV, SCHOLARS_MANIFEST
@@ -124,6 +126,35 @@ def test_simtap_unknown_vertex_exits_one(tmp_path, caplog):
     assert "nobody-here" in caplog.text
 
 
+def test_simtap_pair_by_vertex_ids_equals_the_pair_by_names(tmp_path, scholar_ids):
+    by_name, by_id = tmp_path / "by-name", tmp_path / "by-id"
+    assert run("simtap", *base_args(by_name), "--pair", "Faye Wu,Fei Wu", "--now", "2014") == 0
+    ids = f"{scholar_ids['Faye Wu']},{scholar_ids['Fei Wu']}"
+    assert run("simtap", *base_args(by_id), "--pair", ids, "--now", "2014") == 0
+    assert (by_id / "similarity.csv").read_bytes() == (by_name / "similarity.csv").read_bytes()
+
+
+def test_simtap_pair_naming_an_entity_exits_one(tmp_path, caplog, scholars_bundle):
+    entity = min(v.id for v in scholars_bundle.vertices(VertexKind.ENTITY))
+    assert run("simtap", *base_args(tmp_path), "--pair", f"Faye Wu,{entity}", "--now", "2014") == 1
+    assert caplog.messages[-1] == f"{entity!r} is not a character vertex"
+    assert not (tmp_path / "similarity.csv").exists()
+
+
+def test_simtap_pair_with_an_ambiguous_name_exits_one(tmp_path, caplog, scholar_ids):
+    # an explicit id makes a second person of the same name
+    records = tmp_path / "records.csv"
+    records.write_text(
+        SCHOLARS_CSV.read_text(encoding="utf-8") + "x1,Faye Wu,Other Univ.,institution,work,2001,2002\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["--records", str(records), "--manifest", str(SCHOLARS_MANIFEST), "--out", str(out)]
+    assert run("simtap", *argv, "--pair", "Faye Wu,Fei Wu", "--now", "2014") == 1
+    assert caplog.messages[-1] == f"name 'Faye Wu' is ambiguous; candidates: {scholar_ids['Faye Wu']}, x1"
+    assert not (out / "similarity.csv").exists()
+
+
 def test_dedupe_requires_theta(tmp_path):
     assert run("dedupe", *base_args(tmp_path)) == 1
 
@@ -193,6 +224,22 @@ def test_dedupe_never_hashes_the_bundle(tmp_path, monkeypatch):
         assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name
 
 
+def test_a_dedupe_whose_verification_fails_logs_each_violation_and_writes_no_merge(tmp_path, caplog, monkeypatch):
+    report = VerificationReport()
+    report.add("vertex count mismatch", "expected 7 vertices, found 8")
+    report.add("absorbed vertex present", "c000002 survived the merge")
+    monkeypatch.setattr(cli, "verify_merge", lambda before, after, plan: report)
+    caplog.set_level(logging.INFO, logger="tapmerge")
+    assert run("dedupe", *base_args(tmp_path), "--theta", "0.8", "--now", "2014") == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING] == [
+        ("ERROR", "merge verification: vertex count mismatch (expected 7 vertices, found 8)"),
+        ("ERROR", "merge verification: absorbed vertex present (c000002 survived the merge)"),
+        ("ERROR", "merge verification failed"),
+    ]
+    assert (tmp_path / "groups.json").exists()
+    assert not list(tmp_path.glob("merged_*"))
+
+
 def test_dedupe_groups_both_pairs_at_lower_theta(tmp_path):
     assert run("dedupe", *base_args(tmp_path), "--theta", "0.70") == 0
     groups = json.loads((tmp_path / "groups.json").read_text())
@@ -221,6 +268,47 @@ def test_strict_mode_failure_exits_one(tmp_path):
         ",A,Uni,institution,study,2005,2001\n"
     )
     assert run("ingest", "--records", str(records), "--out", str(tmp_path / "o"), "--strict") == 1
+
+
+def test_a_field_past_the_csv_size_limit_exits_one_naming_its_line(tmp_path, caplog):
+    # the reader raises csv.Error on it, which must end the run with an ERROR line, not a traceback
+    name = "A" * (csv.field_size_limit() + 1)
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "character_id,character_name,entity_name,entity_type,relation_type,start,end\n"
+        ",B,Uni,institution,study,2001,2002\n"
+        f",{name},Uni,institution,study,2001,2002\n"
+    )
+    out = tmp_path / "out"
+    for strict in ([], ["--strict"]):
+        caplog.clear()
+        assert run("ingest", "--records", str(records), "--out", str(out), *strict) == 1
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", f"line 3: field larger than field limit ({csv.field_size_limit()})")
+        ]
+        assert not out.exists()
+
+
+def test_a_year_with_more_digits_than_int_reads_is_a_bad_span(tmp_path, caplog):
+    # `_INTEGER` matches it, but `int()` reads at most `sys.get_int_max_str_digits()` digits
+    year = "1" * 5000
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "character_id,character_name,entity_name,entity_type,relation_type,start,end\n"
+        f",A,Uni,institution,study,2001,{year}\n"
+        ",B,Uni,institution,study,2001,2002\n"
+    )
+    out = tmp_path / "out"
+    assert run("ingest", "--records", str(records), "--out", str(out)) == 0
+    report = json.loads((out / "load_report.json").read_text(encoding="utf-8"))
+    assert (report["loaded_rows"], report["total_rows"]) == (1, 2)
+    assert [(r["line"], r["reason"]) for r in report["rejected"]] == [(2, "start/end have too many digits")]
+    caplog.clear()
+    assert run("ingest", "--records", str(records), "--out", str(tmp_path / "strict"), "--strict") == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ERROR", "line 2: start/end have too many digits")
+    ]
+    assert not (tmp_path / "strict").exists()
 
 
 def test_future_now_anchor_exits_one(tmp_path):

@@ -23,6 +23,7 @@ from tapmerge import (
 )
 from tapmerge.graph import (
     DuplicateIdError,
+    GraphError,
     OneModeRelation,
     SealedBundleError,
     UnknownVertexError,
@@ -155,6 +156,21 @@ def test_add_edge_validations():
     bundle.add_edge(c, e, "study", (2000, 2001))
     with pytest.raises(ValueError, match="integers"):
         bundle.add_edge(c, e, "study", (2000.0, 2001))
+
+
+def test_add_edge_rejects_a_character_as_its_entity():
+    bundle = NetworkBundle()
+    a, b = (bundle.add_vertex(VertexKind.CHARACTER, "person", name) for name in "AB")
+    with pytest.raises(VertexKindError, match=f"^{b!r} is not an entity vertex$"):
+        bundle.add_edge(a, b, "study", (2000, 2001))
+    assert bundle.edge_count == 0
+
+
+def test_an_unknown_relation_type_has_no_subnetwork_and_no_neighbors(club):
+    with pytest.raises(GraphError, match="^no subnetwork for relation type 'nope'$"):
+        club.bundle.subnetwork("nope")
+    assert club.bundle.neighbor_counts(club.mona, "nope") == Counter()
+    assert club.bundle.neighbor_counts(club.mona, "member") == {club.chess: 2, club.film: 1}
 
 
 def test_sealed_bundle_rejects_mutation():

@@ -20,7 +20,8 @@ NAMES = (["Ann", "Bo", "p1", "Lee,\nAnn", " Ann", "Ann "], ["", " "])
 ENTITY_NAMES = (["Uni", "Lab", 'Jinan\n"Univ"', " Uni"], ["", "\t"])
 ENTITY_TYPES = (["inst", "lab", "inst "], ["", " "])
 RELATION_TYPES = (["study", "work", "visit", " study", "work ", " visit"], ["", " "])
-BOUNDS = (["2001", "2003", "+5", " 2001", "2001 "], ["x", "-1", "1_999", ""])
+# a year of 4,301 digits is more than `int()` reads from a string
+BOUNDS = (["2001", "2003", "+5", " 2001", "2001 "], ["x", "-1", "1_999", "", "1" * 4301])
 COLUMNS = [IDS, NAMES, ENTITY_NAMES, ENTITY_TYPES, RELATION_TYPES, BOUNDS, BOUNDS]
 SHAPES = ["row"] * 3 + ["repeat"] * 2 + ["echo"] * 3 + ["blank", "short", "long"]
 

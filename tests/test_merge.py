@@ -236,20 +236,22 @@ def test_verification_reports_a_drop_of_another_characters_edge(scholars_bundle,
 
 
 @pytest.mark.parametrize("representative", ["ghost", "entity"])
-def test_verification_reports_a_representative_that_is_no_character_of_the_input(
+def test_verify_merge_refuses_a_representative_that_is_no_character_of_the_input_as_apply_does(
     scholars_bundle, scholar_ids, representative
 ):
-    if representative == "entity":
+    if representative == "ghost":
+        expected = (StalePlanError, "representative 'ghost' missing from bundle")
+    else:
         representative = min(v.id for v in scholars_bundle.vertices(VertexKind.ENTITY))
+        expected = (MergeError, f"cannot merge non-character vertex {representative!r}")
     plan = plan_merge(scholars_bundle, [[scholar_ids["Faye Wu"], scholar_ids["Fei Wu"]]])
     merged = apply_merge(scholars_bundle, plan).bundle
     (group,) = plan.groups
     edited = plan._replace(groups=[group._replace(representative=representative)])
-    report = verify_merge(scholars_bundle, merged, edited)
-    violations = [(v.kind, v.detail) for v in report.violations]
-    assert ("representative not a character", f"{representative} is not a character vertex of the input") in violations
-    assert ("representative not a character", f"{representative} is not a character vertex of the result") in violations
-    assert sorted(violations) == sorted(whole_bundle_verify_reference(scholars_bundle, merged, edited))
+    for refuse in (lambda: apply_merge(scholars_bundle, edited), lambda: verify_merge(scholars_bundle, merged, edited)):
+        with pytest.raises(MergeError) as raised:
+            refuse()
+        assert (type(raised.value), str(raised.value)) == expected
 
 
 def test_verification_flags_a_hand_corrupted_result(scholars_bundle, scholar_ids):
@@ -319,7 +321,7 @@ def test_verify_merge_holds_one_groups_facts_at_a_time():
     assert peak < 2**20
 
 
-def test_verify_merge_names_groups_that_share_a_member():
+def test_verify_merge_refuses_groups_that_share_a_member_as_apply_does():
     # one representative leads two groups; merged by hand, as `apply_merge` refuses the plan
     bundle = NetworkBundle()
     a, b, c = (bundle.add_vertex(VertexKind.CHARACTER, "person", name) for name in "abc")
@@ -333,21 +335,14 @@ def test_verify_merge_names_groups_that_share_a_member():
     (with_b,) = plan_merge(bundle, [[a, b]]).groups
     (with_c,) = plan_merge(bundle, [[a, c]]).groups
     plan = plan_merge(bundle, [])._replace(groups=[with_b, with_c])
-    with pytest.raises(MergeError, match="more than one group"):
-        apply_merge(bundle, plan)
     merged, _, _ = bundle._derive({b: a, c: a})
-    # no fact is lost: checked group by group, the two groups report two
-    # "neighbor degree mismatch" lines and an "entity fact mismatch"
-    report = verify_merge(bundle, merged, plan)
-    assert [(v.kind, v.detail) for v in report.violations] == [
-        ("overlapping groups", f"more than one group holds {a}")
-    ]
-    # the joined group's checks still see a lost fact
-    (lost,) = [e for e in merged.edges() if e.interval.start == 2006]
-    damaged = rebuild(merged.vertices(), [e for e in merged.edges() if e is not lost], merged.relation_types())
-    assert [v.kind for v in verify_merge(bundle, damaged, plan).violations] == [
-        "overlapping groups", "neighbor degree mismatch", "entity fact mismatch"
-    ]
+    for refuse in (lambda: apply_merge(bundle, plan), lambda: verify_merge(bundle, merged, plan)):
+        with pytest.raises(MergeError) as raised:
+            refuse()
+        assert type(raised.value) is MergeError
+        assert str(raised.value) == f"vertex {a!r} appears in more than one group"
+    # the one group of all three is the plan that makes this merge
+    assert verify_merge(bundle, merged, plan_merge(bundle, [[a, b, c]])).ok
 
 
 def test_plan_merge_needs_a_sealed_bundle():
@@ -355,6 +350,13 @@ def test_plan_merge_needs_a_sealed_bundle():
     bundle.add_vertex(VertexKind.CHARACTER, "person", "Wu", vertex_id="c1")
     with pytest.raises(GraphError, match="unsealed"):
         plan_merge(bundle, [])
+
+
+def assert_verify_refuses_alike(bundle: NetworkBundle, plan: MergePlan, refused: GraphError) -> None:
+    """`verify_merge` refuses `plan` as `apply_merge` did: same type, same text."""
+    with pytest.raises(GraphError) as verified:
+        verify_merge(bundle, bundle, plan)
+    assert (type(verified.value), str(verified.value)) == (type(refused), str(refused))
 
 
 def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
@@ -378,6 +380,7 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
         with pytest.raises(MergeError) as raised:
             apply_merge(scholars_bundle, hand_edited)
         assert type(raised.value) is MergeError
+        assert_verify_refuses_alike(scholars_bundle, hand_edited, raised.value)
         assert str(raised.value) == str(planned.value) == f"cannot merge non-character vertex {entity!r}"
     # one representative leading two groups fails as it does in plan_merge
     led_by_first = [first.representative, second.representative]
@@ -388,11 +391,13 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
     with pytest.raises(MergeError) as raised:
         apply_merge(scholars_bundle, leads_two_groups)
     assert type(raised.value) is MergeError
+    assert_verify_refuses_alike(scholars_bundle, leads_two_groups, raised.value)
     assert str(raised.value) == str(planned.value) == f"vertex {first.representative!r} appears in more than one group"
     # used to be applied, leaving only verify_merge's "vertex count mismatch"
     absorbs_a_missing_id = edited(first, absorbed=(*first.absorbed, "ghost"))
     with pytest.raises(StalePlanError) as raised:
         apply_merge(scholars_bundle, absorbs_a_missing_id)
+    assert_verify_refuses_alike(scholars_bundle, absorbs_a_missing_id, raised.value)
     with pytest.raises(StalePlanError) as planned:
         plan_merge(scholars_bundle, [[first.representative, *first.absorbed, "ghost"]])
     assert str(raised.value) == str(planned.value) == "absorbed vertex 'ghost' missing from bundle"
@@ -401,6 +406,7 @@ def test_hand_edited_plans_fail_in_apply(scholars_bundle, scholar_ids):
     with pytest.raises(MergeError) as raised:
         apply_merge(scholars_bundle, absorbs_the_other_representative)
     assert type(raised.value) is MergeError
+    assert_verify_refuses_alike(scholars_bundle, absorbs_the_other_representative, raised.value)
     assert str(raised.value) == f"vertex {first.representative!r} appears in more than one group"
 
 
@@ -415,6 +421,7 @@ def test_a_group_that_repeats_a_member_fails_in_apply_and_names_the_group(repeat
         apply_merge(bundle, plan)
     assert type(raised.value) is MergeError
     assert str(raised.value) == f"vertex {absorbed[0]!r} appears in the group of {representative!r} twice"
+    assert_verify_refuses_alike(bundle, plan, raised.value)
     assert "another group" not in str(raised.value)
 
 
@@ -427,10 +434,12 @@ def test_an_unknown_member_is_a_stale_plan_in_plan_merge_and_in_apply(role):
     group = {"representative": GroupPlan(ghost, (first,)), "absorbed vertex": GroupPlan(first, (second, ghost))}[role]
     with pytest.raises(StalePlanError) as planned:
         plan_merge(bundle, [[group.representative, *group.absorbed]])
+    plan = MergePlan([group], bundle)
     with pytest.raises(StalePlanError) as raised:
-        apply_merge(bundle, MergePlan([group], bundle))
+        apply_merge(bundle, plan)
     assert isinstance(raised.value, GraphError)
     assert str(raised.value) == str(planned.value) == f"{role} {ghost!r} missing from bundle"
+    assert_verify_refuses_alike(bundle, plan, raised.value)
 
 
 def test_a_hand_edited_plan_cannot_drop_a_fact_the_group_lacks():
@@ -666,7 +675,10 @@ def test_a_plan_merges_only_its_own_bundle_not_an_equal_copy_or_a_changed_one(sc
 
 
 def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, plan) -> list[tuple[str, str]]:
-    """`verify_merge` as it was before it indexed only group members: every check over every edge."""
+    """`verify_merge` as it was before it indexed only group members: every check over every edge.
+
+    Only plans that pass the membership rule reach it, as they alone reach `verify_merge`'s checks.
+    """
     violations = []
 
     def fact_index(edges):
@@ -685,7 +697,7 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
                 out.setdefault(entity, set()).add((relation_type, start, end))
         return out
 
-    expected_removed = plan.removed_vertex_count
+    expected_removed = sum(len(group.absorbed) for group in plan.groups)
     if after.vertex_count != before.vertex_count - expected_removed:
         violations.append((
             "vertex count mismatch",
@@ -705,9 +717,8 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
             expected_facts[vertex.id] = [fact for fact, _ in before_index.get(vertex.id, ())]
     for group in plan.groups:
         # each fact of an absorbed member that the representative lacked lives on under it, once
-        if group.representative in expected_facts:
-            facts = expected_facts[group.representative]
-            facts += {fact for member in group.absorbed for fact, _ in before_index.get(member, ())}.difference(facts)
+        facts = expected_facts[group.representative]
+        facts += {fact for member in group.absorbed for fact, _ in before_index.get(member, ())}.difference(facts)
     for vid, expected in expected_facts.items():
         if sorted(expected) != [fact for fact, _ in after_index.get(vid, ())]:
             violations.append(("neighbor degree mismatch", f"edge multiset of character {vid} changed"))
@@ -724,11 +735,10 @@ def whole_bundle_verify_reference(before: NetworkBundle, after: NetworkBundle, p
                 ))
     for group in plan.groups:
         representative = group.representative
-        for bundle, role in ((before, "input"), (after, "result")):
-            if not bundle.has_vertex(representative) or bundle.vertex(representative).kind is not VertexKind.CHARACTER:
-                violations.append(
-                    ("representative not a character", f"{representative} is not a character vertex of the {role}")
-                )
+        if not after.has_vertex(representative) or after.vertex(representative).kind is not VertexKind.CHARACTER:
+            violations.append(
+                ("representative not a character", f"{representative} is not a character vertex of the result")
+            )
     return violations
 
 

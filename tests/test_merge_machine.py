@@ -10,6 +10,8 @@ own bundle, a plan that `plan_merge` made must give `merge_by_rule`'s
 merge, counts and all, and an edited plan must raise a `GraphError` or
 give a merge that `verify_merge` passes and that holds exactly the
 facts of its input, each absorbed person's under its representative.
+`verify_merge` must refuse each plan that `apply_merge` refuses, with
+the same exception type and text.
 `--hypothesis-profile=deep` runs ten times as many examples.
 """
 
@@ -50,9 +52,12 @@ def check_apply(bundle: NetworkBundle, case: Case) -> None:
         return
     try:
         merged = apply_merge(bundle, case.plan)
-    except GraphError:
-        # only an edited plan is refused
+    except GraphError as refused:
+        # only an edited plan is refused, and verify_merge refuses it alike
         assert case.groups is None
+        with pytest.raises(GraphError) as verified:
+            verify_merge(bundle, bundle, case.plan)
+        assert (type(verified.value), str(verified.value)) == (type(refused), str(refused))
         return
     # a plan merges only when each of its members is a character, named once
     members = [member for group in case.plan.groups for member in (group.representative, *group.absorbed)]
