@@ -30,8 +30,6 @@ RECORDS_HEADER = ["character_id", "character_name", "entity_name", "entity_type"
 
 CHARACTER_TYPE_LABEL = "person"
 
-EXPORT_FORMATS = ("records-csv", "graph-json", "dot")
-
 
 class IngestError(Exception):
     pass
@@ -405,12 +403,11 @@ def export_dot(bundle: NetworkBundle, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# each format's writer, in the order `tapmerge export --format` lists them
+EXPORT_FORMATS = {"records-csv": export_records_csv, "graph-json": export_graph_json, "dot": export_dot}
+
+
 def export(bundle: NetworkBundle, fmt: str, path: str | Path) -> None:
-    if fmt == "records-csv":
-        export_records_csv(bundle, path)
-    elif fmt == "graph-json":
-        export_graph_json(bundle, path)
-    elif fmt == "dot":
-        export_dot(bundle, path)
-    else:
+    if fmt not in EXPORT_FORMATS:
         raise IngestError(f"unknown export format {fmt!r}; expected one of {', '.join(EXPORT_FORMATS)}")
+    EXPORT_FORMATS[fmt](bundle, path)

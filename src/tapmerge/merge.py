@@ -15,7 +15,8 @@ callers that need it.
 from __future__ import annotations
 
 import json
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -87,10 +88,10 @@ class VerificationReport:
         self.violations.append(Violation(kind, detail))
 
 
-def _character_facts(bundle: NetworkBundle, character: str) -> list[tuple[_Fact, str]]:
-    """The character's sorted (fact, relation id) list over every subnetwork."""
+def _character_facts(bundle: NetworkBundle, character: str) -> list[_Fact]:
+    """The character's sorted facts over every subnetwork."""
     return sorted(
-        ((edge.entity, edge.relation_type, edge.interval.start, edge.interval.end), edge.relation_id)
+        (edge.entity, edge.relation_type, edge.interval.start, edge.interval.end)
         for tan in bundle.subnetworks()
         for edge in tan.edges_of_character(character)
     )
@@ -170,10 +171,11 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
     `MergeError`, with the same text, and no fact is checked. A
     character outside every group passes the edge multiset check at
     once when each of its edge lists equals its list in `before`. Each
-    group is then checked on its own, so only one group's facts are held
-    at a time: its representative must hold its own facts plus each
-    fact of its absorbed members that it lacked, once, as worked out
-    from `before` alone.
+    group is then checked on its own, holding only its own facts: its
+    representative's fact list must be its own facts plus each fact of
+    its absorbed members that it lacked, once, as worked out from
+    `before` alone. Only a list that differs is explained, by each
+    entity whose facts changed: equal lists hold equal facts per entity.
     """
     mapping = _absorbed_by(before, plan.groups)
     report = VerificationReport()
@@ -203,34 +205,28 @@ def verify_merge(before: NetworkBundle, after: NetworkBundle, plan: MergePlan) -
     changed = before.changed_paths(after)
     for vertex in before.vertices(VertexKind.CHARACTER):
         vid = vertex.id
-        if vid in changed and vid not in members:
-            pre, post = _character_facts(before, vid), _character_facts(after, vid)
-            if [fact for fact, _ in pre] != [fact for fact, _ in post]:
-                report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
+        if vid in changed and vid not in members and _character_facts(before, vid) != _character_facts(after, vid):
+            report.add("neighbor degree mismatch", f"edge multiset of character {vid} changed")
 
     for representative, absorbed in plan.groups:
         own, post = _character_facts(before, representative), _character_facts(after, representative)
-        absorbed_facts = [entry for duplicate in absorbed for entry in _character_facts(before, duplicate)]
         # the representative gains each absorbed fact it lacked, once
-        own_facts = [fact for fact, _ in own]
-        gained = {fact for fact, _ in absorbed_facts}.difference(own_facts)
-        if sorted([*own_facts, *gained]) != [fact for fact, _ in post]:
+        gained = {fact for duplicate in absorbed for fact in _character_facts(before, duplicate)}.difference(own)
+        expected = sorted([*own, *gained])
+        if expected != post:
             report.add("neighbor degree mismatch", f"edge multiset of character {representative} changed")
-
-        # the representative carries the group's distinct facts, nothing lost
-        pre_by_entity: dict[str, set] = {}
-        post_by_entity: dict[str, set] = {}
-        for facts, by_entity in (((*own, *absorbed_facts), pre_by_entity), (post, post_by_entity)):
-            for (entity, relation_type, start, end), _ in facts:
-                by_entity.setdefault(entity, set()).add((relation_type, start, end))
-        for entity in sorted(pre_by_entity):
-            pre_facts, post_facts = pre_by_entity[entity], post_by_entity.get(entity, set())
-            if pre_facts != post_facts:
-                report.add(
-                    "entity fact mismatch",
-                    f"facts between {entity} and group of {representative} changed: "
-                    f"{sorted(pre_facts)} -> {sorted(post_facts)}",
-                )
+            pre_by_entity, post_by_entity = (
+                {entity: {fact[1:] for fact in facts} for entity, facts in groupby(found, itemgetter(0))}
+                for found in (expected, post)
+            )
+            for entity, pre_facts in pre_by_entity.items():
+                post_facts = post_by_entity.get(entity, set())
+                if pre_facts != post_facts:
+                    report.add(
+                        "entity fact mismatch",
+                        f"facts between {entity} and group of {representative} changed: "
+                        f"{sorted(pre_facts)} -> {sorted(post_facts)}",
+                    )
 
         # the representative is still a character vertex of the result
         if not (after.has_vertex(representative) and after.vertex(representative).kind is VertexKind.CHARACTER):

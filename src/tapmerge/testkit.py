@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import NetworkBundle, TemporalActivityNetwork, TemporalEdge, TimeInterval, VertexKind
+from .graph import NetworkBundle, TemporalActivityNetwork, TemporalEdge, TimeInterval, Vertex, VertexKind, rebuild
 
 ORACLE_PATH_LIMIT = 10_000
 
@@ -149,13 +149,9 @@ def plant_duplicates(
         )
     sources = sorted(rng.sample(eligible, k))
 
-    new_bundle = NetworkBundle()
-    for beta in bundle.relation_types():
-        new_bundle.declare_relation_type(beta)
-    for vertex in bundle.vertices():
-        new_bundle.add_vertex(vertex.kind, vertex.type_label, vertex.display_name, vertex_id=vertex.id)
-    for edge in bundle.edges():
-        new_bundle.add_edge(edge.character, edge.entity, edge.relation_type, edge.interval, relation_id=edge.relation_id)
+    vertices = bundle.vertices()
+    edges = list(bundle.edges())
+    taken = {vertex.id for vertex in vertices}
 
     entities_by_type: dict[str, list[str]] = {}
     for vertex in bundle.vertices(VertexKind.ENTITY):
@@ -167,8 +163,7 @@ def plant_duplicates(
     ground_truth: list[PlantedPair] = []
     for i, source in enumerate(sources):
         clone_id = f"dup{i + 1:04d}-{source}"
-        source_vertex = bundle.vertex(source)
-        new_bundle.add_vertex(VertexKind.CHARACTER, source_vertex.type_label, source_vertex.display_name, vertex_id=clone_id)
+        vertices.append(bundle.vertex(source)._replace(id=clone_id))
         source_edges = sorted(
             (edge for tan in bundle.subnetworks() for edge in tan.edges_of_character(source)), key=lambda e: e.relation_id
         )
@@ -176,7 +171,7 @@ def plant_duplicates(
         def plant_edge(entity: str, relation_type: str, interval: TimeInterval) -> None:
             nonlocal planted_edges
             planted_edges += 1
-            new_bundle.add_edge(clone_id, entity, relation_type, interval, relation_id=f"planted{planted_edges:06d}")
+            edges.append(TemporalEdge(f"planted{planted_edges:06d}", clone_id, entity, relation_type, interval))
 
         if mode is PlantMode.EXACT_CLONE:
             for edge in source_edges:
@@ -201,14 +196,16 @@ def plant_duplicates(
                     if not pool:
                         # a subnetwork that holds two entity types may need a stand-in of each
                         stand_in = f"swap-{clone_id}"
-                        if new_bundle.has_vertex(stand_in):
+                        if stand_in in taken:
                             stand_in += f"-{type_label}"
-                        pool = [new_bundle.add_vertex(VertexKind.ENTITY, type_label, f"stand-in-{clone_id}", stand_in)]
-                        entities_by_type.setdefault(type_label, []).append(pool[0])
+                        vertices.append(Vertex(stand_in, VertexKind.ENTITY, type_label, f"stand-in-{clone_id}"))
+                        taken.add(stand_in)
+                        pool = [stand_in]
+                        entities_by_type.setdefault(type_label, []).append(stand_in)
                     entity = rng.choice(pool)
                 plant_edge(entity, edge.relation_type, edge.interval)
         else:
             raise ValueError(f"unknown plant mode {mode}")
         ground_truth.append(PlantedPair(source, clone_id, mode))
 
-    return new_bundle.seal(), ground_truth
+    return rebuild(vertices, edges, bundle.relation_types()), ground_truth

@@ -806,5 +806,12 @@ def test_verify_merge_reports_what_the_whole_bundle_verifier_reports(scholars_bu
                 assert expected, label
                 actual = [(v.kind, v.detail) for v in verify_merge(bundle, corrupted, plan).violations]
                 assert sorted(actual) == sorted(expected), label
+                # an entity report explains its group's degree mismatch: it follows that report or another of its own
+                for previous, (kind, detail) in zip([("", ""), *actual], actual):
+                    if kind == "entity fact mismatch":
+                        group = detail.partition(" and group of ")[2].partition(" changed: ")[0]
+                        assert previous == ("neighbor degree mismatch", f"edge multiset of character {group} changed") or (
+                            previous[0] == kind and f" and group of {group} changed: " in previous[1]
+                        ), label
                 labels.add(label)
     assert len(labels) == 14, sorted(labels)
