@@ -12,27 +12,17 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import hashlib
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import Callable
 
+# only what loading, the parser and the exit codes need; `merge` and `similarity` are
+# imported by the commands that run them, so `--version` and `--help` skip both
 from . import __version__
 from .graph import GraphError, NetworkBundle, VertexKind
 from .ingest import EXPORT_FORMATS, IngestError, LoadReport, export, load
-from .merge import apply_merge, plan_merge, verify_merge, write_merge_audit
 from .screening import NameFilter, screen_candidates, write_candidates_csv
-from .similarity import (
-    group_by_threshold,
-    resolve_now,
-    similarity_for_pairs,
-    write_groups_json,
-    write_similarity_csv,
-)
-
-log = logging.getLogger("tapmerge")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -40,11 +30,20 @@ EXIT_IO = 2
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only `dedupe` hashes, and only its input files
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _log():
+    """The `tapmerge` logger; `logging` is imported here and in `main`, so `--version` and `--help` skip it."""
+    import logging
+
+    return logging.getLogger("tapmerge")
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -76,7 +75,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     bundle, report = _load(args)
     _write_json(args.out / "load_report.json", report.to_dict())
     export(bundle, "graph-json", args.out / "graph.json")
-    log.info(
+    _log().info(
         "loaded %d rows (%d rejected): %d vertices, %d edges",
         report.total_rows, len(report.rejected), bundle.vertex_count, bundle.edge_count,
     )
@@ -87,7 +86,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
     bundle, _ = _load(args)
     candidates = screen_candidates(bundle, NameFilter(args.name_filter))
     write_candidates_csv(bundle, candidates, args.out / "candidates.csv")
-    log.info(
+    _log().info(
         "screened %d characters in %d signature buckets (largest %d): %d candidate pairs",
         len(bundle.character_ids()), candidates.bucket_count, candidates.largest_bucket, len(candidates),
     )
@@ -95,6 +94,8 @@ def cmd_screen(args: argparse.Namespace) -> int:
 
 
 def cmd_simtap(args: argparse.Namespace) -> int:
+    from .similarity import resolve_now, similarity_for_pairs, write_similarity_csv
+
     bundle, _ = _load(args)
     now = resolve_now(bundle, args.now)
     if args.pair:
@@ -106,11 +107,14 @@ def cmd_simtap(args: argparse.Namespace) -> int:
         pairs = screen_candidates(bundle, NameFilter(args.name_filter))
     results = similarity_for_pairs(bundle, pairs, now)
     write_similarity_csv(bundle, results, args.out / "similarity.csv")
-    log.info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, results.scored)
+    _log().info("similarity for %d pairs at now=%d, %d class pairs scored", len(results), now, results.scored)
     return EXIT_OK
 
 
 def cmd_dedupe(args: argparse.Namespace) -> int:
+    from .merge import apply_merge, plan_merge, verify_merge, write_merge_audit
+    from .similarity import group_by_threshold, resolve_now, similarity_for_pairs, write_groups_json, write_similarity_csv
+
     out = args.out
     bundle, report = _load(args)
     now = resolve_now(bundle, args.now)
@@ -132,6 +136,7 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
     merged = apply_merge(bundle, plan)
     verification = verify_merge(bundle, merged.bundle, plan)
     if not verification.ok:
+        log = _log()
         for violation in verification.violations:
             log.error("merge verification: %s (%s)", violation.kind, violation.detail)
         raise ValueError("merge verification failed")
@@ -158,7 +163,7 @@ def cmd_dedupe(args: argparse.Namespace) -> int:
             "theta": args.theta,
         },
     )
-    log.info(
+    _log().info(
         "dedupe: %d signature buckets (largest %d), %d candidates, %d class pairs scored, %d groups, "
         "removed %d vertices (dropped %d, transferred %d edges)",
         *screened, len(groups.groups),
@@ -172,7 +177,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     bundle, _ = _load(args)
     path = args.out / {"records-csv": "records.csv", "graph-json": "graph.json", "dot": "graph.dot"}[args.format]
     export(bundle, args.format, path)
-    log.info("exported %s to %s", args.format, path)
+    _log().info("exported %s to %s", args.format, path)
     return EXIT_OK
 
 
@@ -246,6 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # imported only once the arguments parse, so `--version`, `--help` and usage errors skip it
+    import logging
+
+    log = logging.getLogger("tapmerge")
     level, handler = log.level, None
     if not log.hasHandlers():
         handler = logging.StreamHandler(sys.stderr)

@@ -59,8 +59,11 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, path: str | Path) -> "DatasetManifest":
         # `utf-8-sig` also reads a file that starts with a byte-order mark
-        with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise IngestError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise IngestError(f"{path}: a manifest must be a JSON object")
         if raw.get("now") is not None:
@@ -224,7 +227,9 @@ def load(
     count, empty name, bounds, undeclared relation type. Malformed rows
     are skipped and reported, or fatal under `strict`. Under `strict` a
     relation type absent from the manifest is also fatal. A field longer
-    than `csv.field_size_limit()` is fatal in both modes.
+    than `csv.field_size_limit()` is fatal in both modes. So is text that
+    is not UTF-8: the error names the records file and the last line
+    read whole before it.
     """
     manifest = DatasetManifest.from_json(manifest_path) if manifest_path else DatasetManifest()
     report = LoadReport()
@@ -288,6 +293,10 @@ def load(
         except csv.Error as exc:
             # the reader gave up, as on a field past `csv.field_size_limit()`: no later row can be trusted
             raise IngestError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the file is decoded a chunk of lines at a time, so the bad bytes lie somewhere
+            # after the last line read whole, and the error's position counts from its chunk
+            raise IngestError(f"{records_path}: text after line {reader.line_num} is not UTF-8: {exc.reason}") from None
     bundle = keys.bundle.seal()
     report.loaded_rows, report.total_rows = loaded, loaded + len(report.rejected)
     # the bundle holds the types of loaded rows only, each kind in first-seen order

@@ -8,6 +8,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from tapmerge import export, load
-from tapmerge import cli, screening
+from tapmerge import cli, merge, screening
 from tapmerge.cli import main
 from tapmerge.graph import VertexKind
 from tapmerge.merge import VerificationReport
@@ -228,7 +229,7 @@ def test_a_dedupe_whose_verification_fails_logs_each_violation_and_writes_no_mer
     report = VerificationReport()
     report.add("vertex count mismatch", "expected 7 vertices, found 8")
     report.add("absorbed vertex present", "c000002 survived the merge")
-    monkeypatch.setattr(cli, "verify_merge", lambda before, after, plan: report)
+    monkeypatch.setattr(merge, "verify_merge", lambda before, after, plan: report)
     caplog.set_level(logging.INFO, logger="tapmerge")
     assert run("dedupe", *base_args(tmp_path), "--theta", "0.8", "--now", "2014") == 1
     assert [(r.levelname, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING] == [
@@ -286,6 +287,27 @@ def test_a_field_past_the_csv_size_limit_exits_one_naming_its_line(tmp_path, cap
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             ("ERROR", f"line 3: field larger than field limit ({csv.field_size_limit()})")
         ]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("good_rows", [1, 1000], ids=["in the first chunk", "past the first chunk"])
+def test_records_that_are_not_utf8_exit_one_naming_the_file_and_the_last_line_read_whole(tmp_path, caplog, good_rows):
+    # the file is decoded a chunk at a time, so the error cannot name the line
+    # of the bad byte; it names the last line read whole before that chunk
+    records = tmp_path / "records.csv"
+    header = b"character_id,character_name,entity_name,entity_type,relation_type,start,end\n"
+    rows = b"".join(b",P%04d,Uni,institution,study,2001,2002\n" % i for i in range(good_rows))
+    records.write_bytes(header + rows + b",Bad \xff,Uni,institution,study,2001,2002\n")
+    out = tmp_path / "out"
+    for strict in ([], ["--strict"]):
+        caplog.clear()
+        assert run("ingest", "--records", str(records), "--out", str(out), *strict) == 1
+        ((level, message),) = [(r.levelname, r.getMessage()) for r in caplog.records]
+        found = re.fullmatch(rf"{re.escape(str(records))}: text after line (\d+) is not UTF-8: invalid start byte", message)
+        assert level == "ERROR" and found, message
+        # the bad row is line 2 + good_rows
+        assert int(found[1]) < 2 + good_rows
+        assert (int(found[1]) > 0) is (good_rows == 1000)
         assert not out.exists()
 
 
@@ -401,7 +423,7 @@ def test_manifest_that_is_not_json_exits_one(tmp_path, caplog):
     manifest.write_text('{"relation_types": [', encoding="utf-8")
     out = tmp_path / "out"
     assert run("screen", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 1
-    assert caplog.messages[-1].startswith("Expecting value")
+    assert caplog.messages[-1].startswith(f"{manifest.resolve()}: Expecting value")
     assert not out.exists()
 
 
@@ -455,12 +477,15 @@ def test_ingest_skips_generated_ids_an_explicit_id_took(tmp_path, rows, characte
         ('{"relation_types": "wrote"}', "`relation_types` must be a list of non-empty strings"),
         ('{"relation_types": ["wrote", 5]}', "`relation_types` must be a list of non-empty strings"),
         ('{"relation_types": ["a", "a"]}', "manifest declares duplicate relation types"),
+        ('{"relation_types": ["a",]}', "Expecting value: line 1 column 25 (char 24)"),
+        ('{"relation_types": ["\xff"]}', "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
     ],
-    ids=["list", "string of types", "integer type", "duplicate type"],
+    ids=["list", "string of types", "integer type", "duplicate type", "not JSON", "not UTF-8"],
 )
 def test_malformed_manifest_exits_one_with_one_error_line(tmp_path, caplog, document, message):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(document, encoding="utf-8")
+    # one byte per character, so `\xff` is a byte that UTF-8 does not allow
+    manifest.write_text(document, encoding="latin-1")
     out = tmp_path / "out"
     assert run("ingest", "--records", str(SCHOLARS_CSV), "--manifest", str(manifest), "--out", str(out)) == 1
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("ERROR", f"{manifest.resolve()}: {message}")]
@@ -551,6 +576,27 @@ def test_a_pair_whose_exact_mean_equals_theta_merges(tmp_path):
     # just above the exact mean, nothing merges
     assert run("dedupe", "--records", str(records), "--out", str(out), "--theta", "0.9000001", "--now", "2014") == 0
     assert json.loads((out / "groups.json").read_text())["groups"] == []
+
+
+def test_a_dedupe_of_its_own_merged_records_can_merge_again(tmp_path):
+    # one round is the contract: c1 and c4 score 2*4*1/(16+1) = 8/17 and merge
+    # with c2 onto c1, whose gained 2003 edge gives it c3's structure, and the
+    # second round merges c1 and c3 at 2*5*8/(25+64) = 80/89
+    rows = [
+        "c1,Ann,E,paper,wrote,2000,2000", "c2,Ann,E,paper,wrote,2000,2000",
+        "c3,Bo,E,paper,wrote,2000,2000", "c3,Bo,E,paper,wrote,2000,2000", "c4,Ann,E,paper,wrote,2003,2003",
+    ]
+    records = tmp_path / "records.csv"
+    header = "character_id,character_name,entity_name,entity_type,relation_type,start,end"
+    records.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    theta = ["--theta", repr(8 / 17), "--now", "2003"]
+    assert run("dedupe", "--records", str(records), "--out", str(tmp_path / "first"), *theta) == 0
+    merged = tmp_path / "first" / "merged_records.csv"
+    assert run("dedupe", "--records", str(merged), "--out", str(tmp_path / "second"), *theta) == 0
+    groups = [json.loads((tmp_path / out / "groups.json").read_text())["groups"] for out in ("first", "second")]
+    assert groups == [[["c1", "c2", "c4"]], [["c1", "c3"]]]
+    with open(tmp_path / "second" / "similarity.csv", newline="") as fh:
+        assert [row["simtap"] for row in csv.DictReader(fh)] == [f"{80 / 89:.4f}"]
 
 
 def test_a_run_leaves_no_cyclic_garbage_that_grows_with_its_input(tmp_path):

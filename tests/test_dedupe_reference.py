@@ -9,6 +9,10 @@ optional manifest that may declare an unused relation type, every name
 filter, and a theta drawn from the bundle's exact mean scores, so some
 pairs sit exactly at it. `--hypothesis-profile=deep` runs that
 profile's 1,000 examples, five times as many.
+
+On the same inputs, a second property holds `dedupe` to its one-round
+contract: a second round, run on the first one's merged bundle, forms
+only groups that hold a representative whose paths the first changed.
 """
 
 from __future__ import annotations
@@ -19,18 +23,22 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tapmerge import NetworkBundle, TemporalEdge, TimeInterval, Vertex, VertexKind, rebuild
 from tapmerge.cli import main
-from tapmerge.screening import NameFilter
+from tapmerge.merge import apply_merge, plan_merge
+from tapmerge.screening import NameFilter, screen_candidates
+from tapmerge.similarity import group_by_threshold, resolve_now, similarity_for_pairs
 from tapmerge.testkit import PlantMode, RandomBundleSpec, fully_active_characters, generate, plant_duplicates
 
 from dedupe_reference import exact_scores, records_csv_reference, reference_dedupe, screened_pairs
 
 # the examples per tier-1 run, about 2 s on Python 3.11
 REFEREE_EXAMPLES = 200
+# the examples per tier-1 run of the second-round property, about 0.5 s
+SECOND_ROUND_EXAMPLES = 100
 
 
 class Case(NamedTuple):
@@ -115,3 +123,44 @@ def test_dedupe_writes_every_data_file_as_the_reference_does(case):
         assert written == sorted(expected)
         for name in written:
             assert (out / name).read_bytes() == expected[name], name
+
+
+def one_round(bundle: NetworkBundle, case: Case, now: int) -> tuple[NetworkBundle, list[list[str]]]:
+    """The merged bundle and the groups of one `dedupe` pass over `bundle`, by the stages it calls."""
+    candidates = screen_candidates(bundle, case.name_filter)
+    groups = group_by_threshold(similarity_for_pairs(bundle, candidates, now), case.theta, now).groups
+    return apply_merge(bundle, plan_merge(bundle, groups)).bundle, groups
+
+
+def second_round_case() -> Case:
+    """The input on which a second round merges again: c1 and c4 score 8/17 at `now` 2003.
+
+    c1, c2 and c3 hold one entity E in 2000, c3 twice, and c4 holds E in
+    2003. The first round merges c1, c2 and c4 onto c1, which gains c4's
+    2003 edge, so c1 then has c3's structure and scores 80/89 with c3.
+    """
+    people = [Vertex(f"c{i}", VertexKind.CHARACTER, "person", "Bo" if i == 3 else "Ann") for i in range(1, 5)]
+    entity = Vertex("E", VertexKind.ENTITY, "paper", "E")
+    facts = [("c1", 2000), ("c2", 2000), ("c3", 2000), ("c3", 2000), ("c4", 2003)]
+    edges = [TemporalEdge(f"r{i}", person, "E", "wrote", TimeInterval(year, year)) for i, (person, year) in enumerate(facts)]
+    return Case(rebuild([*people, entity], edges, ["wrote"]), None, NameFilter.OFF, 2003, 8 / 17)
+
+
+@settings(
+    max_examples=settings.default.max_examples if settings.get_current_profile_name() == "deep" else SECOND_ROUND_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(dedupe_cases())
+# random cases rarely merge twice (about 3 in 100), so every run also checks one that does
+@example(second_round_case())
+def test_every_group_of_a_second_round_holds_a_representative_the_first_round_changed(case):
+    # one round is the contract: a representative that gains facts it lacked can
+    # match someone new, but a pair the first round left unchanged keeps its
+    # structure and its score, so it cannot form a group in a second round
+    now = resolve_now(case.bundle, case.now)
+    merged, groups = one_round(case.bundle, case, now)
+    changed = case.bundle.changed_paths(merged) & set(merged.character_ids())
+    assert changed <= {min(group) for group in groups}
+    for group in one_round(merged, case, now)[1]:
+        assert changed.intersection(group), group
