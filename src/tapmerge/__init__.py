@@ -10,8 +10,6 @@ one representative vertex with full provenance.
 a stage submodule such as `tapmerge.merge`, imports its home module.
 """
 
-import sys
-
 __version__ = "0.1.0"
 
 # each stage submodule that `tapmerge.<stage>` resolves, and the public names it defines
@@ -62,7 +60,7 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # `__import__`, not `importlib`, which would also load `warnings`; it binds the submodule here
     __import__(f"{__name__}.{module}")
-    value = sys.modules[f"{__name__}.{module}"]
+    value = globals()[module]
     if name != module:
         value = globals()[name] = getattr(value, name)
     return value
